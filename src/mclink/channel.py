@@ -333,29 +333,19 @@ def normalized_slot_moments(
     return mean / scale, var / (scale * scale)
 
 
-def observe_frame(
-    rng: np.random.Generator, p: ChannelParams, frame, t: float | None = None
-) -> list[SlotObservation]:
-    """Transmit a frame over consecutive slots; ISI couples adjacent symbols.
-
-    The slots before the frame are silent, so the first symbol sees no ISI.
-    """
-    seq = _as_sequence(frame)
-    out = []
-    for j in range(len(seq)):
-        window = [seq[j - i] for i in range(1, p.memory + 1) if j - i >= 0]
-        out.append(observe_slot(rng, p, seq[j], window, t))
-    return out
-
-
 def observe_frames(
     rng: np.random.Generator, p: ChannelParams, frames: np.ndarray, t: float | None = None
 ) -> np.ndarray:
-    """Vectorized ``observe_frame`` over a (B, k) array of release fractions.
+    """Transmit a (B, k) array of frames over consecutive slots.
 
-    Returns the (B, k) array of normalized received symbols. Statistically
-    identical to per-slot observation but draws in column-major order, so
-    streams differ from the scalar path for the same generator.
+    Each row is one frame whose first symbol follows silent slots; slot j
+    of a row has the law of ``observe_slot`` for that symbol with the
+    preceding ones as its ISI window. Returns the (B, k) array of
+    normalized received symbols. Each released batch draws only the branch
+    it takes: a binomial where 0 < mean < GAUSSIAN_COUNT_THRESHOLD, a
+    normal where the mean is at or above it, nothing where it is zero. The
+    draws come in a different order than the scalar path's, so the two
+    give different streams for the same generator.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
@@ -374,12 +364,12 @@ def observe_frames(
         w = frames[:, : k - i] if i else frames
         n_released = np.round(w * p.max_molecules)
         mean = n_released * prob
-        drawn = np.where(
-            mean < GAUSSIAN_COUNT_THRESHOLD,
-            rng.binomial(n_released.astype(np.int64), prob),
-            np.maximum(mean + np.sqrt(mean * (1.0 - prob)) * rng.standard_normal(mean.shape), 0.0),
-        )
-        drawn = np.where(n_released == 0, 0.0, drawn)
+        drawn = np.zeros(mean.shape)
+        exact = (mean > 0.0) & (mean < GAUSSIAN_COUNT_THRESHOLD)
+        drawn[exact] = rng.binomial(n_released[exact].astype(np.int64), prob)
+        gauss = mean >= GAUSSIAN_COUNT_THRESHOLD
+        m = mean[gauss]
+        drawn[gauss] = np.maximum(m + np.sqrt(m * (1.0 - prob)) * rng.standard_normal(m.size), 0.0)
         counts[:, i:] += drawn
     if p.noise_std > 0:
         counts += p.noise_std * rng.standard_normal(counts.shape)

@@ -23,12 +23,13 @@ os.environ.setdefault("OMP_NUM_THREADS", os.environ.get("MCLINK_BLAS_THREADS", "
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baseline, channel, dataset, nn, particle, runio, surrogate, transceiver
+from . import __version__, baseline, channel, dataset, particle, runio, surrogate, transceiver
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -41,6 +42,21 @@ PHYSICS_VALIDITY_FLOOR = 1e-3
 
 class UsageError(ValueError):
     """Bad flags, unknown scenarios, or mismatched artifacts."""
+
+
+@contextmanager
+def _resolving():
+    """Scope in which flags, config and input artifacts are resolved.
+
+    A value, lookup or file error raised here is the caller's to fix, so
+    it becomes a UsageError; the same errors after it are runtime failures.
+    """
+    try:
+        yield
+    except UsageError:
+        raise
+    except (ValueError, KeyError, OSError) as err:
+        raise UsageError(str(err)) from err
 
 
 def _resolve(args, key, fallback):
@@ -77,10 +93,7 @@ def _out_dir(args) -> Path:
 
 
 def _channel_params(args, params: dict) -> channel.ChannelParams:
-    try:
-        p = channel.load_params(params["scenario"])
-    except KeyError as err:
-        raise UsageError(str(err)) from None
+    p = channel.load_params(params["scenario"])
     if params.get("n_m"):
         p = channel.with_overrides(p, max_molecules=int(params["n_m"]))
     if params.get("sigma_n") is not None:
@@ -89,27 +102,29 @@ def _channel_params(args, params: dict) -> channel.ChannelParams:
 
 
 def cmd_validate_physics(args) -> int:
-    params = {
-        "scenario": _resolve(args, "scenario", "scenario1"),
-        "particles": int(_resolve(args, "particles", 100_000)),
-        "dt": _resolve(args, "dt", None),
-        "times": _resolve(args, "times", None),
-        "n_m": _resolve(args, "n_m", None),
-        "out": str(_out_dir(args)),
-        "threads": int(_resolve(args, "threads", 1)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    p = _channel_params(args, params)
-    cfg = particle.default_sim_config(params["scenario"], n_particles=params["particles"], seed=seed)
-    overrides = {}
-    if params["dt"] is not None:
-        overrides["dt"] = float(params["dt"])
-    if params["times"] is not None:
-        times = tuple(float(t) for t in str(params["times"]).split(","))
-        overrides["record_times"] = times
-        overrides["t_max"] = max(max(times), cfg.t_max)
-    if overrides:
-        cfg = particle.ParticleSimConfig(**{**asdict(cfg), **overrides})
+    with _resolving():
+        params = {
+            "scenario": _resolve(args, "scenario", "scenario1"),
+            "particles": int(_resolve(args, "particles", 100_000)),
+            "dt": _resolve(args, "dt", None),
+            "times": _resolve(args, "times", None),
+            "n_m": _resolve(args, "n_m", None),
+            "out": str(_out_dir(args)),
+            "threads": int(_resolve(args, "threads", 1)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        p = _channel_params(args, params)
+        cfg = particle.default_sim_config(params["scenario"], n_particles=params["particles"],
+                                          seed=seed)
+        overrides = {}
+        if params["dt"] is not None:
+            overrides["dt"] = float(params["dt"])
+        if params["times"] is not None:
+            times = tuple(float(t) for t in str(params["times"]).split(","))
+            overrides["record_times"] = times
+            overrides["t_max"] = max(max(times), cfg.t_max)
+        if overrides:
+            cfg = particle.ParticleSimConfig(**{**asdict(cfg), **overrides})
 
     curve = particle.empirical_capture_curve(cfg, p, n_workers=params["threads"])
     out = Path(params["out"])
@@ -133,22 +148,24 @@ def cmd_validate_physics(args) -> int:
 
 
 def cmd_sim_sir(args) -> int:
-    params = {
-        "scenario": _resolve(args, "scenario", "both"),
-        "dt": float(_resolve(args, "dt", 0.01)),
-        "symbols": int(_resolve(args, "symbols", 5)),
-        "sigma_n": _resolve(args, "sigma_n", None),
-        "n_m": _resolve(args, "n_m", None),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    names = channel.scenario_names() if params["scenario"] == "both" else (params["scenario"],)
+    with _resolving():
+        params = {
+            "scenario": _resolve(args, "scenario", "both"),
+            "dt": float(_resolve(args, "dt", 0.01)),
+            "symbols": int(_resolve(args, "symbols", 5)),
+            "sigma_n": _resolve(args, "sigma_n", None),
+            "n_m": _resolve(args, "n_m", None),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        names = channel.scenario_names() if params["scenario"] == "both" else (params["scenario"],)
+        links = [(name, _channel_params(args, {**params, "scenario": name})) for name in names]
+        for _, p in links:
+            if not 0 < params["dt"] < p.slot_s:
+                raise UsageError(f"dt must lie in (0, slot_s={p.slot_s}); got {params['dt']}")
     out = Path(params["out"])
     outputs = []
-    for name in names:
-        p = _channel_params(args, {**params, "scenario": name})
-        if not 0 < params["dt"] < p.slot_s:
-            raise UsageError(f"dt must lie in (0, slot_s={p.slot_s}); got {params['dt']}")
+    for name, p in links:
         trace = channel.sir_trace(p, [1.0] * params["symbols"], params["dt"])
         path = out / f"sir_{name}.csv"
         channel.write_sir_csv(path, trace)
@@ -160,12 +177,13 @@ def cmd_sim_sir(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    params = {
-        "train_count": int(_resolve(args, "train_count", 4000)),
-        "test_count": int(_resolve(args, "test_count", 1000)),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
+    with _resolving():
+        params = {
+            "train_count": int(_resolve(args, "train_count", 4000)),
+            "test_count": int(_resolve(args, "test_count", 1000)),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
     out = Path(params["out"])
     train = dataset.make_dataset(runio.derive_rng(seed, "dataset", "train"), params["train_count"])
     test = dataset.make_dataset(runio.derive_rng(seed, "dataset", "test"), params["test_count"])
@@ -177,20 +195,21 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_fit_channel(args) -> int:
-    params = {
-        "scenario": _resolve(args, "scenario", "scenario1"),
-        "n_m": _resolve(args, "n_m", None),
-        "sigma_n": _resolve(args, "sigma_n", None),
-        "pairs": int(_resolve(args, "pairs", 50_000)),
-        "epochs": int(_resolve(args, "epochs", 150)),
-        "export_pairs": bool(_resolve(args, "export_pairs", False)),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    p = _channel_params(args, params)
+    with _resolving():
+        params = {
+            "scenario": _resolve(args, "scenario", "scenario1"),
+            "n_m": _resolve(args, "n_m", None),
+            "sigma_n": _resolve(args, "sigma_n", None),
+            "pairs": int(_resolve(args, "pairs", 50_000)),
+            "epochs": int(_resolve(args, "epochs", 150)),
+            "export_pairs": bool(_resolve(args, "export_pairs", False)),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        p = _channel_params(args, params)
+        cfg = surrogate.FitConfig(n_pairs=params["pairs"], max_epochs=params["epochs"])
     out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
-    cfg = surrogate.FitConfig(n_pairs=params["pairs"], max_epochs=params["epochs"])
     pairs = surrogate.generate_pairs(rng, p, cfg.n_pairs)
     surr, history = surrogate.fit_channel(rng, p, cfg, pairs=pairs)
     surr.channel = {"scenario": params["scenario"], "params": asdict(p)}
@@ -211,27 +230,25 @@ def cmd_fit_channel(args) -> int:
 
 
 def cmd_train(args) -> int:
-    params = {
-        "data": _resolve(args, "data", None),
-        "surrogate": _resolve(args, "surrogate", None),
-        "epochs": int(_resolve(args, "epochs", 40)),
-        "batch": int(_resolve(args, "batch", 64)),
-        "lr": float(_resolve(args, "lr", 2e-2)),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    if not params["data"] or not params["surrogate"]:
-        raise UsageError("train requires --data <dir from gen-data> and --surrogate <ckpt>")
-    train_path = Path(params["data"]) / "train.ds"
-    if not train_path.exists():
-        raise UsageError(f"missing dataset: {train_path}")
-    try:
+    with _resolving():
+        params = {
+            "data": _resolve(args, "data", None),
+            "surrogate": _resolve(args, "surrogate", None),
+            "epochs": int(_resolve(args, "epochs", 40)),
+            "batch": int(_resolve(args, "batch", 64)),
+            "lr": float(_resolve(args, "lr", 2e-2)),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        if not params["data"] or not params["surrogate"]:
+            raise UsageError("train requires --data <dir from gen-data> and --surrogate <ckpt>")
+        train_path = Path(params["data"]) / "train.ds"
+        if not train_path.exists():
+            raise UsageError(f"missing dataset: {train_path}")
         surr = surrogate.ChannelSurrogate.load(params["surrogate"])
-    except nn.CheckpointError as err:
-        raise UsageError(str(err)) from None
-    train_set = dataset.load_dataset(train_path)
-    cfg = transceiver.TrainConfig(epochs=params["epochs"], batch_size=params["batch"],
-                                  lr=params["lr"])
+        train_set = dataset.load_dataset(train_path)
+        cfg = transceiver.TrainConfig(epochs=params["epochs"], batch_size=params["batch"],
+                                      lr=params["lr"])
     model, history = transceiver.train_end_to_end(
         runio.derive_rng(seed, "train"), train_set, surr, cfg)
     out = Path(params["out"])
@@ -251,27 +268,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    params = {
-        "model": _resolve(args, "model", None),
-        "data": _resolve(args, "data", None),
-        "scenario": _resolve(args, "scenario", "scenario1"),
-        "n_m": _resolve(args, "n_m", None),
-        "sigma_n": _resolve(args, "sigma_n", None),
-        "trials": int(_resolve(args, "trials", 3)),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    if not params["model"] or not params["data"]:
-        raise UsageError("eval requires --model <semantic ckpt> and --data <dir>")
-    test_path = Path(params["data"]) / "test.ds"
-    if not test_path.exists():
-        raise UsageError(f"missing dataset: {test_path}")
-    try:
+    with _resolving():
+        params = {
+            "model": _resolve(args, "model", None),
+            "data": _resolve(args, "data", None),
+            "scenario": _resolve(args, "scenario", "scenario1"),
+            "n_m": _resolve(args, "n_m", None),
+            "sigma_n": _resolve(args, "sigma_n", None),
+            "trials": int(_resolve(args, "trials", 3)),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        if not params["model"] or not params["data"]:
+            raise UsageError("eval requires --model <semantic ckpt> and --data <dir>")
+        test_path = Path(params["data"]) / "test.ds"
+        if not test_path.exists():
+            raise UsageError(f"missing dataset: {test_path}")
         model = transceiver.SemanticModel.load(params["model"])
-    except nn.CheckpointError as err:
-        raise UsageError(str(err)) from None
-    p = _channel_params(args, params)
-    test_set = dataset.load_dataset(test_path)
+        p = _channel_params(args, params)
+        test_set = dataset.load_dataset(test_path)
     acc, lo, hi = transceiver.evaluate_accuracy(
         runio.derive_rng(seed, "eval"), model, p, test_set, n_trials=params["trials"])
     out = Path(params["out"])
@@ -286,27 +301,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    params = {
-        "data": _resolve(args, "data", None),
-        "scenario": _resolve(args, "scenario", "scenario1"),
-        "n_m_list": _resolve(args, "n_m_list", "100,300,600,1000,1500,2000,4000,20000"),
-        "sigma_n": _resolve(args, "sigma_n", None),
-        "pairs": int(_resolve(args, "pairs", 12_000)),
-        "epochs": int(_resolve(args, "epochs", 25)),
-        "trials": int(_resolve(args, "trials", 3)),
-        "out": str(_out_dir(args)),
-    }
-    seed = int(_resolve(args, "seed", 0))
-    if not params["data"]:
-        raise UsageError("sweep requires --data <dir from gen-data>")
-    data_dir = Path(params["data"])
-    train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
-    for path in (train_path, test_path):
-        if not path.exists():
-            raise UsageError(f"missing dataset: {path}")
-    train_set = dataset.load_dataset(train_path)
-    test_set = dataset.load_dataset(test_path)
-    budgets = [int(float(x)) for x in str(params["n_m_list"]).split(",")]
+    with _resolving():
+        params = {
+            "data": _resolve(args, "data", None),
+            "scenario": _resolve(args, "scenario", "scenario1"),
+            "n_m_list": _resolve(args, "n_m_list", "100,300,600,1000,1500,2000,4000,20000"),
+            "sigma_n": _resolve(args, "sigma_n", None),
+            "pairs": int(_resolve(args, "pairs", 12_000)),
+            "epochs": int(_resolve(args, "epochs", 25)),
+            "trials": int(_resolve(args, "trials", 3)),
+            "out": str(_out_dir(args)),
+        }
+        seed = int(_resolve(args, "seed", 0))
+        if not params["data"]:
+            raise UsageError("sweep requires --data <dir from gen-data>")
+        data_dir = Path(params["data"])
+        train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
+        for path in (train_path, test_path):
+            if not path.exists():
+                raise UsageError(f"missing dataset: {path}")
+        train_set = dataset.load_dataset(train_path)
+        test_set = dataset.load_dataset(test_path)
+        budgets = [int(float(x)) for x in str(params["n_m_list"]).split(",")]
+        links = [(n_m, _channel_params(args, {**params, "n_m": n_m})) for n_m in budgets]
 
     codec = baseline.CodecConfig()
     classifier = baseline.train_baseline_classifier(
@@ -314,8 +331,7 @@ def cmd_sweep(args) -> int:
 
     rows = []
     out = Path(params["out"])
-    for n_m in budgets:
-        p = _channel_params(args, {**params, "n_m": n_m})
+    for n_m, p in links:
         fit_rng = runio.derive_rng(seed, "sweep", n_m, "fit")
         surr, _ = surrogate.fit_channel(
             fit_rng, p, surrogate.FitConfig(n_pairs=params["pairs"]))
@@ -431,16 +447,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _load_config(args)
+        with _resolving():
+            _load_config(args)
         return COMMANDS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except surrogate.TrainingDivergedError as err:
         print(f"training failed: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (RuntimeError, ValueError, KeyError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

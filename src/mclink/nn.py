@@ -32,7 +32,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = tuple(parents)
-        self._backward: Callable[[], None] | None = backward_fn
+        self._backward: Callable[[np.ndarray], None] | None = backward_fn
 
     @property
     def shape(self):
@@ -71,7 +71,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -130,17 +130,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def _binary(a, b, out_data, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     req = a.requires_grad or b.requires_grad
-    out = Tensor(out_data(a.data, b.data), requires_grad=req, parents=(a, b))
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(da(g, a.data, b.data), a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(db(g, a.data, b.data), b.data.shape))
 
-    out._backward = backward_fn
-    return out
+    return Tensor(out_data(a.data, b.data), requires_grad=req, parents=(a, b),
+                  backward_fn=backward_fn)
 
 
 def add(a, b) -> Tensor:
@@ -162,14 +160,13 @@ def matmul(a, b) -> Tensor:
 
 def _unary(a, out_data, da) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(out_data(a.data), requires_grad=a.requires_grad, parents=(a,))
+    y = out_data(a.data)
 
-    def backward_fn():
+    def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(da(out.grad, a.data, out.data))
+            a._accumulate(da(g, a.data, y))
 
-    out._backward = backward_fn
-    return out
+    return Tensor(y, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward_fn)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -316,20 +313,17 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     req = any(t.requires_grad for t in tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(data, requires_grad=req, parents=tuple(tensors))
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(sl)])
 
-    out._backward = backward_fn
-    return out
+    return Tensor(data, requires_grad=req, parents=tuple(tensors), backward_fn=backward_fn)
 
 
 def apply_activation(x: Tensor, tag: str) -> Tensor:

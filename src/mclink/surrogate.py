@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import nn
-from .channel import ChannelParams, observe_slot
+from .channel import ChannelParams, observe_frames
 from .nn import DenseNet, Tensor
 
 COMPONENTS = 2
@@ -88,44 +88,28 @@ def mixture_pdf(mp: MixtureParams, w_rx) -> float | np.ndarray:
     return float(dens) if dens.ndim == 0 else dens
 
 
-@dataclass(frozen=True)
-class ChannelPair:
-    """One training example: transmit context and observed symbol."""
+def generate_pairs(
+    rng: np.random.Generator, p: ChannelParams, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniformly random contexts pushed through the real channel.
 
-    w_curr: float
-    w_prev: float
-    w_rx: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.w_curr <= 1.0 or not 0.0 <= self.w_prev <= 1.0:
-            raise ValueError("context fractions must lie in [0, 1]")
-
-
-def generate_pairs(rng: np.random.Generator, p: ChannelParams, n: int) -> list[ChannelPair]:
-    """Uniformly random contexts pushed through the real slot sampler."""
+    Returns (contexts, w_rx): an (n, 2) array of (w_curr, w_prev) rows and
+    the n received symbols. Each context is sent as the two-slot frame
+    [w_prev, w_curr]; its second slot has exactly the law of
+    ``observe_slot(w_curr, [w_prev])`` at any channel memory.
+    """
     if n < 1:
         raise ValueError("need at least one pair")
-    t_obs = p.observation_time()
-    pairs = []
-    for _ in range(n):
-        w_curr = float(rng.uniform())
-        w_prev = float(rng.uniform())
-        obs = observe_slot(rng, p, w_curr, [w_prev], t_obs)
-        pairs.append(ChannelPair(w_curr=w_curr, w_prev=w_prev, w_rx=obs.w_rx))
-    return pairs
+    contexts = rng.uniform(size=(n, 2))
+    return contexts, observe_frames(rng, p, contexts[:, ::-1])[:, 1]
 
 
-def pairs_to_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    contexts = np.array([(q.w_curr, q.w_prev) for q in pairs], dtype=float)
-    targets = np.array([q.w_rx for q in pairs], dtype=float)
-    return contexts, targets
-
-
-def write_pairs_csv(path, pairs) -> None:
+def write_pairs_csv(path, pairs: tuple[np.ndarray, np.ndarray]) -> None:
+    contexts, targets = pairs
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("w_curr,w_prev,w_rx\n")
-        for q in pairs:
-            fh.write(f"{q.w_curr!r},{q.w_prev!r},{q.w_rx!r}\n")
+        for (w_curr, w_prev), w_rx in zip(contexts.tolist(), targets.tolist()):
+            fh.write(f"{w_curr!r},{w_prev!r},{w_rx!r}\n")
 
 
 def build_mdn_net(rng: np.random.Generator, hidden: int = HIDDEN_WIDTH,
@@ -159,19 +143,15 @@ def mdn_forward(net: DenseNet, context) -> MixtureParams:
     return MixtureParams(pi=take(pi), mu=take(mu), sigma2=take(sigma2))
 
 
-def mdn_nll(net: DenseNet, pairs) -> Tensor:
-    """Mean negative log-likelihood of the pairs under the net's mixtures.
+def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
+    """Mean negative log-likelihood of (contexts, targets) under the net's mixtures.
 
-    ``pairs`` is a list of ChannelPair or a (contexts, targets) tuple.
     The loss is evaluated in log space, as usual for mixture density
     networks: log-softmax weights plus log-normal kernels, combined by a
     log-sum-exp. That keeps it finite on outliers without a density floor
     and avoids the round-off of exponentiating and re-logging each term.
     """
-    if isinstance(pairs, tuple):
-        contexts, targets = pairs
-    else:
-        contexts, targets = pairs_to_arrays(pairs)
+    contexts, targets = pairs
     if len(np.atleast_1d(targets)) == 0:
         raise ValueError("empty batch")
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -324,7 +304,7 @@ def fit_channel(
     rng: np.random.Generator,
     p: ChannelParams,
     cfg: FitConfig = FitConfig(),
-    pairs: list[ChannelPair] | None = None,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ChannelSurrogate, dict]:
     """Generate pairs, fit the mixture net by NLL, and freeze it.
 
@@ -340,8 +320,8 @@ def fit_channel(
     """
     if pairs is None:
         pairs = generate_pairs(rng, p, cfg.n_pairs)
-    contexts, targets = pairs_to_arrays(pairs)
-    n_val = max(1, int(len(pairs) * cfg.val_fraction))
+    contexts, targets = pairs
+    n_val = max(1, int(len(targets) * cfg.val_fraction))
     val_ctx, val_tgt = contexts[:n_val], targets[:n_val]
     tr_ctx, tr_tgt = contexts[n_val:], targets[n_val:]
 

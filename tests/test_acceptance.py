@@ -48,7 +48,6 @@ from mclink.surrogate import (
     fit_channel,
     generate_pairs,
     mdn_nll,
-    pairs_to_arrays,
     single_gaussian_nll,
 )
 from mclink.transceiver import (
@@ -250,13 +249,12 @@ class TestCriterion4:
 class TestCriterion5:
     def test_surrogate_fidelity(self, full_surrogate):
         surr, history, pairs, fit_elapsed = full_surrogate
-        ctx, tgt = pairs_to_arrays(pairs)
-        n_val = len(pairs) // 10
+        ctx, tgt = pairs
+        n_val = len(tgt) // 10
         held_nll = float(mdn_nll(surr.net, (ctx[:n_val], tgt[:n_val])).data)
         gauss_nll = single_gaussian_nll(tgt[n_val:], tgt[:n_val])
 
-        probe = generate_pairs(derive_rng(0, "acceptance", "probe"), S1, 20_000)
-        pctx, ptgt = pairs_to_arrays(probe)
+        pctx, ptgt = generate_pairs(derive_rng(0, "acceptance", "probe"), S1, 20_000)
         draws = surr.sample_numeric(pctx, derive_rng(0, "acceptance", "draws"))
         worst = 0.0
         for lo in (0.0, 0.2, 0.4, 0.6, 0.8):

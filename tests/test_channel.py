@@ -13,7 +13,6 @@ from mclink.channel import (
     capture_probability,
     count_moments,
     normalized_slot_moments,
-    observe_frame,
     observe_frames,
     observe_slot,
     peak_time,
@@ -273,10 +272,31 @@ class TestObserveFrames:
         w_rx = observe_frames(np.random.default_rng(1), quiet, np.zeros((10, 3)))
         assert np.all(w_rx == 0.0)
 
-    def test_observe_frame_scalar_wrapper(self):
-        obs = observe_frame(np.random.default_rng(2), S1, [1.0, 0.5])
-        assert len(obs) == 2
-        assert obs[0].isi_mean == 0.0 and obs[1].isi_mean > 0.0
+    def test_draws_only_the_branch_each_entry_takes(self):
+        class Recording:
+            """Generator facade that counts the variates of each method."""
+
+            def __init__(self, rng):
+                self._rng = rng
+                self.drawn = {"binomial": 0, "standard_normal": 0}
+
+            def binomial(self, n, prob):
+                self.drawn["binomial"] += np.size(n)
+                return self._rng.binomial(n, prob)
+
+            def standard_normal(self, size):
+                self.drawn["standard_normal"] += int(np.prod(size))
+                return self._rng.standard_normal(size)
+
+        # On scenario 1 the current slot's mean is ~335 w molecules, so 0.05
+        # stays under the Gaussian threshold while 0.5 and 1.0 clear it; the
+        # previous slot's residue (~11.4 w) is always under it. Per row:
+        # binomials for 0.05 now and for 0.05 and 1.0 one slot back (3),
+        # normals for 1.0 and 0.5 now plus one noise draw per slot (2 + 4).
+        frames = np.tile([0.0, 0.05, 1.0, 0.5], (10, 1))
+        rec = Recording(np.random.default_rng(3))
+        observe_frames(rec, S1, frames)
+        assert rec.drawn == {"binomial": 30, "standard_normal": 60}
 
 
 class TestSymbolSequence:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from mclink.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from mclink import baseline
+from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, main
 from mclink.dataset import load_dataset
 from mclink.nn import load_checkpoint
 from mclink.runio import load_manifest
@@ -185,3 +186,42 @@ class TestSweep:
         assert lines[0] == "n_m,method,accuracy,ci_low,ci_high"
         methods = {line.split(",")[1] for line in lines[1:]}
         assert methods == {"semantic", "baseline"}
+
+
+class TestExitCodes:
+    # drift so fast that the capture formula exceeds 1 at the sampling instant
+    OVERDRIVEN = ("distance_um = 100\nradius_um = 20\nvelocity_um_s = 10000\n"
+                  "slot_s = 1\ndiffusion_um2_s = 1\nmax_molecules = 100\n")
+
+    def test_resolution_errors_are_usage_errors(self, tmp_path, capsys):
+        assert run(["fit-channel", "--out", tmp_path, "--sigma-n", -1]) == EXIT_USAGE
+        assert "noise_std" in capsys.readouterr().err
+        assert run(["fit-channel", "--out", tmp_path,
+                    "--config", tmp_path / "absent.json"]) == EXIT_USAGE
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pairs": "many"}')
+        assert run(["fit-channel", "--out", tmp_path, "--config", bad]) == EXIT_USAGE
+
+    def test_invalid_approximation_mid_run_is_runtime_failure(self, tmp_path, capsys):
+        link = tmp_path / "link.txt"
+        link.write_text(self.OVERDRIVEN)
+        code = run(["fit-channel", "--out", tmp_path / "fit", "--scenario", link,
+                    "--pairs", 10, "--epochs", 1])
+        assert code == EXIT_RUNTIME
+        assert "capture probability" in capsys.readouterr().err
+
+    def test_disk_error_mid_run_is_runtime_failure(self, tmp_path):
+        (tmp_path / "train.ds").mkdir()     # the output path is taken by a directory
+        assert run(["gen-data", "--out", tmp_path,
+                    "--train-count", 8, "--test-count", 4]) == EXIT_RUNTIME
+
+    def test_baseline_runtime_error_is_runtime_failure(self, pipeline, tmp_path,
+                                                       monkeypatch, capsys):
+        def diverged(*args, **kwargs):
+            raise RuntimeError("baseline classifier training diverged")
+
+        monkeypatch.setattr(baseline, "train_baseline_classifier", diverged)
+        code = run(["sweep", "--out", tmp_path, "--data", pipeline / "data",
+                    "--n-m-list", "20000", "--trials", 1])
+        assert code == EXIT_RUNTIME
+        assert "diverged" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Autodiff core: ops, losses, optimizer, gradient checks, checkpoints."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -109,6 +111,24 @@ class TestBackward:
         loss = nn.tsum(diff * diff)
         loss.backward()
         assert np.allclose(w.grad, 0.0, atol=1e-12)
+
+    def test_dropped_graph_is_freed_without_cycle_collector(self):
+        # a node's backward closure must not refer back to the node, or
+        # every graph is a reference cycle that waits for the collector
+        rng = np.random.default_rng(10)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)))
+        gc.disable()
+        try:
+            h = nn.concat([nn.exp(x @ w), x], axis=1)       # binary, unary, concat
+            loss = nn.tsum(h * h)
+            loss.backward()
+            probes = [weakref.ref(t) for t in (loss, h, h._parents[0], h._parents[0]._parents[0])]
+            del loss, h, x
+            assert [r() for r in probes] == [None] * len(probes)
+        finally:
+            gc.enable()
+        assert w.grad is not None
 
     def test_backward_requires_scalar(self):
         t = Tensor(np.zeros(3), requires_grad=True)

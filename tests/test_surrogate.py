@@ -9,7 +9,6 @@ from mclink import nn
 from mclink.channel import normalized_slot_moments, scenario, with_overrides
 from mclink.nn import Tensor, gradient_check
 from mclink.surrogate import (
-    ChannelPair,
     ChannelSurrogate,
     FitConfig,
     MixtureParams,
@@ -20,7 +19,6 @@ from mclink.surrogate import (
     mdn_forward,
     mdn_nll,
     mixture_pdf,
-    pairs_to_arrays,
     sample_surrogate,
     single_gaussian_nll,
     write_pairs_csv,
@@ -118,27 +116,26 @@ class TestMdnNll:
 
     def test_single_pair_at_kernel_mean(self):
         net = self._spiked_net(mu1=0.3)
-        loss = mdn_nll(net, [ChannelPair(0.5, 0.5, 0.3)])
+        loss = mdn_nll(net, (np.array([[0.5, 0.5]]), np.array([0.3])))
         assert float(loss.data) == pytest.approx(HALF_LN_2PI, rel=1e-9)
 
     def test_matches_mixture_pdf_route(self):
         net = build_mdn_net(np.random.default_rng(4))
-        pair = ChannelPair(0.2, 0.9, 0.7)
-        nll = float(mdn_nll(net, [pair]).data)
+        nll = float(mdn_nll(net, (np.array([[0.2, 0.9]]), np.array([0.7]))).data)
         dens = mixture_pdf(mdn_forward(net, np.array([0.2, 0.9])), 0.7)
         assert nll == pytest.approx(-math.log(dens), rel=1e-9)
 
     def test_duplicating_batch_leaves_mean_nll_unchanged(self):
         net = build_mdn_net(np.random.default_rng(5))
-        pairs = [ChannelPair(0.1, 0.2, 0.15), ChannelPair(0.9, 0.4, 0.8)]
-        once = float(mdn_nll(net, pairs).data)
-        twice = float(mdn_nll(net, pairs + pairs).data)
+        ctx, tgt = np.array([[0.1, 0.2], [0.9, 0.4]]), np.array([0.15, 0.8])
+        once = float(mdn_nll(net, (ctx, tgt)).data)
+        twice = float(mdn_nll(net, (np.tile(ctx, (2, 1)), np.tile(tgt, 2))).data)
         assert twice == pytest.approx(once, rel=1e-12)
 
     def test_empty_batch_rejected(self):
         net = build_mdn_net(np.random.default_rng(0))
         with pytest.raises(ValueError, match="empty"):
-            mdn_nll(net, [])
+            mdn_nll(net, (np.zeros((0, 2)), np.zeros(0)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -175,37 +172,51 @@ class TestGeneratePairs:
             def __init__(self, rng):
                 self._rng = rng
 
-            def uniform(self, *a, **k):
-                return 0.0
+            def uniform(self, size=None):
+                return np.zeros(size)
 
             def __getattr__(self, name):
                 return getattr(self._rng, name)
 
         quiet = with_overrides(S1, noise_std=0.0)
-        pairs = generate_pairs(SilentUniform(np.random.default_rng(0)), quiet, 200)
-        assert all(q.w_rx == 0.0 for q in pairs)
+        _, w_rx = generate_pairs(SilentUniform(np.random.default_rng(0)), quiet, 200)
+        assert np.all(w_rx == 0.0)
 
     def test_same_seed_reproduces_pairs(self):
         a = generate_pairs(np.random.default_rng(9), S1, 300)
         b = generate_pairs(np.random.default_rng(9), S1, 300)
-        assert a == b
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_conditional_mean_of_saturated_bucket(self):
         rng = np.random.default_rng(10)
-        pairs = generate_pairs(rng, S1, 20_000)
-        ctx, tgt = pairs_to_arrays(pairs)
+        ctx, tgt = generate_pairs(rng, S1, 20_000)
         bucket = (ctx[:, 0] >= 0.95)
         # E[w_rx] = E[w_curr] + E[w_prev] * isi ratio = 0.975 + 0.5 * 0.0340
         expected = 0.975 + 0.5 * (MEAN_AT_FULL_CONTEXT - 1.0)
         assert abs(tgt[bucket].mean() - expected) < 0.01
 
+    @pytest.mark.parametrize("memory", [0, 1, 2])
+    def test_pairs_follow_the_slot_law(self, memory):
+        p = with_overrides(S1, memory=memory)
+        contexts, w_rx = generate_pairs(np.random.default_rng(13), p, 10_000)
+        mean, var = np.array([normalized_slot_moments(p, w_curr, [w_prev])
+                              for w_curr, w_prev in contexts]).T
+        # contexts whose mean sits 6 sd above zero, where the clamp plays no part
+        keep = mean >= 6.0 * np.sqrt(var)
+        z = (w_rx[keep] - mean[keep]) / np.sqrt(var[keep])
+        n = z.size
+        assert n > 7000
+        assert abs(z.mean()) < 4.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 4.0 * math.sqrt(2.0 / n)
+
     def test_csv_export(self, tmp_path):
-        pairs = generate_pairs(np.random.default_rng(1), S1, 5)
+        ctx, tgt = generate_pairs(np.random.default_rng(1), S1, 5)
         path = tmp_path / "pairs.csv"
-        write_pairs_csv(path, pairs)
+        write_pairs_csv(path, (ctx, tgt))
         lines = path.read_text().splitlines()
         assert lines[0] == "w_curr,w_prev,w_rx"
         assert len(lines) == 6
+        assert lines[1] == f"{float(ctx[0, 0])!r},{float(ctx[0, 1])!r},{float(tgt[0])!r}"
 
     def test_count_validated(self):
         with pytest.raises(ValueError):
@@ -311,8 +322,8 @@ class TestFitChannel:
 
     def test_beats_single_gaussian(self, fitted_surrogate):
         surr, history, pairs = fitted_surrogate
-        ctx, tgt = pairs_to_arrays(pairs)
-        n_val = len(pairs) // 10
+        ctx, tgt = pairs
+        n_val = len(tgt) // 10
         held_nll = float(mdn_nll(surr.net, (ctx[:n_val], tgt[:n_val])).data)
         gauss = single_gaussian_nll(tgt[n_val:], tgt[:n_val])
         assert held_nll <= gauss
@@ -347,9 +358,9 @@ class TestFitChannel:
         # the log-space NLL stays finite under exploding weights (the log
         # variance is clamped), so the divergence guard is exercised by
         # poisoned observations
-        pairs = generate_pairs(np.random.default_rng(2), S1, 600)
-        pairs[7] = ChannelPair(0.5, 0.5, float("nan"))
+        contexts, targets = generate_pairs(np.random.default_rng(2), S1, 600)
+        targets[7] = float("nan")
         with pytest.raises(TrainingDivergedError) as info:
             fit_channel(np.random.default_rng(3), S1,
-                        FitConfig(max_epochs=5), pairs=pairs)
+                        FitConfig(max_epochs=5), pairs=(contexts, targets))
         assert isinstance(info.value.history, dict)
