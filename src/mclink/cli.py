@@ -4,8 +4,8 @@ Stages communicate through files: scenario configs, dataset containers,
 role-tagged checkpoints, and CSV metrics. Every command resolves all of
 its parameters (defaults included), derives its randomness from one
 explicit seed, and echoes everything into ``<out>/manifest.json``; passing
-that manifest back via ``--config`` reproduces the run byte for byte in
-single-threaded mode.
+that manifest back via ``--config`` reproduces the run byte for byte with
+BLAS on one thread (the default).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error,
 3 acceptance-tolerance breach.
@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,7 @@ def _out_dir(args) -> Path:
 
 def _channel_params(args, params: dict) -> channel.ChannelParams:
     p = channel.load_params(params["scenario"])
-    if params.get("n_m"):
+    if params.get("n_m") is not None:
         p = channel.with_overrides(p, max_molecules=int(params["n_m"]))
     if params.get("sigma_n") is not None:
         p = channel.with_overrides(p, noise_std=float(params["sigma_n"]))
@@ -106,27 +106,18 @@ def cmd_validate_physics(args) -> int:
         params = {
             "scenario": _resolve(args, "scenario", "scenario1"),
             "particles": int(_resolve(args, "particles", 100_000)),
-            "dt": _resolve(args, "dt", None),
             "times": _resolve(args, "times", None),
-            "n_m": _resolve(args, "n_m", None),
             "out": str(_out_dir(args)),
-            "threads": int(_resolve(args, "threads", 1)),
         }
         seed = int(_resolve(args, "seed", 0))
         p = _channel_params(args, params)
         cfg = particle.default_sim_config(params["scenario"], n_particles=params["particles"],
                                           seed=seed)
-        overrides = {}
-        if params["dt"] is not None:
-            overrides["dt"] = float(params["dt"])
         if params["times"] is not None:
             times = tuple(float(t) for t in str(params["times"]).split(","))
-            overrides["record_times"] = times
-            overrides["t_max"] = max(max(times), cfg.t_max)
-        if overrides:
-            cfg = particle.ParticleSimConfig(**{**asdict(cfg), **overrides})
+            cfg = replace(cfg, record_times=times)
 
-    curve = particle.empirical_capture_curve(cfg, p, n_workers=params["threads"])
+    curve = particle.empirical_capture_curve(cfg, p)
     out = Path(params["out"])
     csv_path = out / f"capture_{params['scenario']}.csv"
     particle.write_capture_csv(csv_path, curve, cfg, p)
@@ -381,15 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (default 0)")
         sp.add_argument("--out", help="output directory (default ./runs)")
         sp.add_argument("--config", help="JSON file or prior manifest supplying parameters")
-        sp.add_argument("--threads", type=int, help="worker count; >1 relaxes byte-level reproducibility")
 
     sp = sub.add_parser("validate-physics", help="particle oracle vs capture formula")
     common(sp)
     sp.add_argument("--scenario", help="scenario1 | scenario2 | path to key=value file")
     sp.add_argument("--particles", type=int)
-    sp.add_argument("--dt", type=float)
     sp.add_argument("--times", help="comma-separated probe times (s)")
-    sp.add_argument("--n-m", type=int)
 
     sp = sub.add_parser("sim-sir", help="deterministic SIR traces for an all-ones frame")
     common(sp)

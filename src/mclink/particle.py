@@ -1,27 +1,29 @@
 """Brownian-dynamics oracle for the diffusive link.
 
-Independent check of the closed-form capture probability: molecules are
-simulated as non-interacting particles started at the origin and stepped
-with the Euler-Maruyama scheme
+Independent check of the closed-form capture probability. Molecules are
+non-interacting particles released at the origin into a constant drift v
+along x and a constant diffusion D; the receiver sphere is passive, so no
+boundary stops them. A particle's increment over any gap Δ is therefore
+exactly Gaussian and independent of its past:
 
-    x_{n+1} = x_n + v dt e_x + sqrt(2 D dt) xi,   xi ~ N(0, I_3),
+    x(t + Δ) = x(t) + v Δ e_x + sqrt(2 D Δ) ξ,   ξ ~ N(0, I_3).
 
-and the fraction of particles found inside the receiver sphere at each
-probe time is the empirical presence probability. No expression from
+Each particle cloud takes one such draw from one probe instant to the
+next, so the requested instants are met exactly and no step size enters,
+and the fraction of particles inside the receiver sphere at each instant
+is the empirical presence probability. No expression from
 :mod:`mclink.channel` enters the dynamics; the analytic column of the
 exported curve is the only point of contact.
 
 Particles are independent, so the population is split into fixed-size
-shards with per-shard generators seeded as SeedSequence((seed, shard)).
-The shard decomposition does not depend on the worker count, so results
-are identical whether shards run sequentially or in a process pool.
+shards, which bounds memory at any population, with per-shard generators
+seeded as SeedSequence((seed, shard)).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -36,117 +38,87 @@ class ParticleSimConfig:
     """Monte Carlo settings for one presence-probability run."""
 
     n_particles: int
-    dt: float                      # integration step (s)
-    t_max: float                   # horizon (s)
-    record_times: tuple[float, ...]  # probe instants, each in (0, t_max]
+    record_times: tuple[float, ...]  # probe instants (s); kept sorted, without duplicates
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_particles < 1_000:
             raise ValueError("n_particles must be at least 1000 for a usable estimate")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
-        times = tuple(float(t) for t in self.record_times)
+        times = tuple(sorted({float(t) for t in self.record_times}))
         if not times:
             raise ValueError("record_times must not be empty")
-        if any(not 0 < t <= self.t_max for t in times):
-            raise ValueError("record_times must lie in (0, t_max]")
-        if self.dt >= min(times):
-            raise ValueError("dt must be smaller than the earliest record time")
+        if not all(0 < t < math.inf for t in times):
+            raise ValueError("record_times must be positive and finite")
         object.__setattr__(self, "record_times", times)
 
 
 def default_sim_config(scenario_name: str, n_particles: int = 100_000, seed: int = 0) -> ParticleSimConfig:
     """Per-scenario defaults: probe grid bracketing the capture peak.
 
-    The fast-drift scenario needs a far finer step and a narrow probe
-    window around the ballistic arrival, where the presence probability is
-    non-negligible.
+    The fast-drift scenario needs a narrow probe window around the
+    ballistic arrival, where the presence probability is non-negligible.
     """
     if scenario_name == "scenario2":
-        return ParticleSimConfig(
-            n_particles=n_particles,
-            dt=1e-5,
-            t_max=1.5005,
-            record_times=(1.4995, 1.4998, 1.5, 1.5002, 1.5005),
-            seed=seed,
-        )
-    return ParticleSimConfig(
-        n_particles=n_particles,
-        dt=1e-3,
-        t_max=4.0,
-        record_times=(0.5, 1.0, 1.2585, 2.0, 4.0),
-        seed=seed,
-    )
+        times = (1.4995, 1.4998, 1.5, 1.5002, 1.5005)
+    else:
+        times = (0.5, 1.0, 1.2585, 2.0, 4.0)
+    return ParticleSimConfig(n_particles=n_particles, record_times=times, seed=seed)
 
 
-def _record_steps(cfg: ParticleSimConfig) -> list[int]:
-    """Probe times snapped to the nearest integer step (dedup, sorted)."""
-    steps = sorted({max(1, int(round(t / cfg.dt))) for t in cfg.record_times})
-    return steps
+def _clouds(rng, n: int, times, p: ChannelParams):
+    """Yield (t, positions) of an n-particle cloud at each probe instant.
 
-
-def _run_shard(args) -> np.ndarray:
-    """Inside-sphere counts at each record step for one particle shard."""
-    seed, shard_index, n, dt, record_steps, velocity, diffusion, distance, radius = args
-    rng = np.random.default_rng(np.random.SeedSequence((seed, shard_index)))
+    One exact Gaussian increment per gap between consecutive instants; the
+    positions array is updated in place between yields.
+    """
     pos = np.zeros((n, 3))
-    drift = velocity * dt
-    sigma = math.sqrt(2.0 * diffusion * dt)
-    r2 = radius * radius
-    counts = np.zeros(len(record_steps), dtype=np.int64)
-    targets = {step: i for i, step in enumerate(record_steps)}
-    for step in range(1, record_steps[-1] + 1):
-        pos += sigma * rng.standard_normal((n, 3))
-        pos[:, 0] += drift
-        if step in targets:
-            dx = pos[:, 0] - distance
-            dist2 = dx * dx + pos[:, 1] ** 2 + pos[:, 2] ** 2
-            counts[targets[step]] = int(np.count_nonzero(dist2 <= r2))
+    prev = 0.0
+    for t in times:
+        gap = t - prev
+        pos += math.sqrt(2.0 * p.diffusion_um2_s * gap) * rng.standard_normal((n, 3))
+        pos[:, 0] += p.velocity_um_s * gap
+        prev = t
+        yield t, pos
+
+
+def _shard_rng(seed: int, shard: int):
+    return np.random.default_rng(np.random.SeedSequence((seed, shard)))
+
+
+def _run_shard(cfg: ParticleSimConfig, shard: int, n: int, p: ChannelParams) -> np.ndarray:
+    """Inside-sphere counts at each probe instant for one particle shard."""
+    r2 = p.radius_um * p.radius_um
+    counts = np.zeros(len(cfg.record_times), dtype=np.int64)
+    for i, (_, pos) in enumerate(_clouds(_shard_rng(cfg.seed, shard), n, cfg.record_times, p)):
+        dx = pos[:, 0] - p.distance_um
+        dist2 = dx * dx + pos[:, 1] ** 2 + pos[:, 2] ** 2
+        counts[i] = np.count_nonzero(dist2 <= r2)
     return counts
 
 
-def simulate_presence(
-    cfg: ParticleSimConfig, p: ChannelParams, n_workers: int = 1
-) -> list[tuple[float, float]]:
+def simulate_presence(cfg: ParticleSimConfig, p: ChannelParams) -> list[tuple[float, float]]:
     """Empirical probability of presence in the receiver sphere.
 
-    Returns (t, fraction) pairs, one per probe time, with t the realized
-    (step-aligned) instant. Deterministic for a fixed seed regardless of
-    ``n_workers``.
+    Returns (t, fraction) pairs, one per distinct probe instant in
+    ascending order, with t exactly the requested instant. Deterministic
+    for a fixed seed.
     """
-    record_steps = _record_steps(cfg)
-    shard_sizes = []
-    remaining = cfg.n_particles
-    while remaining > 0:
-        shard_sizes.append(min(SHARD_SIZE, remaining))
-        remaining -= shard_sizes[-1]
-    jobs = [
-        (cfg.seed, i, size, cfg.dt, record_steps,
-         p.velocity_um_s, p.diffusion_um2_s, p.distance_um, p.radius_um)
-        for i, size in enumerate(shard_sizes)
-    ]
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            counts = list(pool.map(_run_shard, jobs))
-    else:
-        counts = [_run_shard(job) for job in jobs]
-    totals = np.sum(counts, axis=0)
-    return [(step * cfg.dt, totals[i] / cfg.n_particles) for i, step in enumerate(record_steps)]
+    totals = np.zeros(len(cfg.record_times), dtype=np.int64)
+    for shard, start in enumerate(range(0, cfg.n_particles, SHARD_SIZE)):
+        totals += _run_shard(cfg, shard, min(SHARD_SIZE, cfg.n_particles - start), p)
+    return [(t, totals[i] / cfg.n_particles) for i, t in enumerate(cfg.record_times)]
 
 
 def empirical_capture_curve(
-    cfg: ParticleSimConfig, p: ChannelParams, n_workers: int = 1
+    cfg: ParticleSimConfig, p: ChannelParams
 ) -> list[tuple[float, float, float, float]]:
     """Empirical vs analytic capture probability over the probe grid.
 
     Rows are (t, p_empirical, p_analytic, rel_err) with the analytic value
-    evaluated at the realized probe instant.
+    evaluated at the probe instant.
     """
     rows = []
-    for t, emp in simulate_presence(cfg, p, n_workers=n_workers):
+    for t, emp in simulate_presence(cfg, p):
         analytic = capture_probability(p, t)
         rel_err = abs(emp - analytic) / analytic
         rows.append((t, emp, analytic, rel_err))
@@ -170,21 +142,9 @@ def displacement_moments(
 ) -> list[tuple[float, float, float]]:
     """Mean x displacement and per-axis variance at each probe time.
 
-    Diagnostic for the integrator: expectations are v*t and 2*D*t.
-    Uses the same stepping as the presence run but a single shard.
+    Diagnostic for the increments: expectations are v*t and 2*D*t. Draws
+    shard 0 of the presence run, capped at SHARD_SIZE particles.
     """
-    record_steps = _record_steps(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     n = min(cfg.n_particles, SHARD_SIZE)
-    pos = np.zeros((n, 3))
-    drift = p.velocity_um_s * cfg.dt
-    sigma = math.sqrt(2.0 * p.diffusion_um2_s * cfg.dt)
-    targets = {step: i for i, step in enumerate(record_steps)}
-    out: list[tuple[float, float, float]] = [None] * len(record_steps)  # type: ignore[list-item]
-    for step in range(1, record_steps[-1] + 1):
-        pos += sigma * rng.standard_normal((n, 3))
-        pos[:, 0] += drift
-        if step in targets:
-            t = step * cfg.dt
-            out[targets[step]] = (t, float(pos[:, 0].mean()), float(pos.var(axis=0, ddof=1).mean()))
-    return out
+    return [(t, float(pos[:, 0].mean()), float(pos.var(axis=0, ddof=1).mean()))
+            for t, pos in _clouds(_shard_rng(cfg.seed, 0), n, cfg.record_times, p)]

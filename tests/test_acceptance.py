@@ -114,7 +114,7 @@ def sweep_results(toy_data):
 
 class TestCriterion1:
     def test_physics_equivalence(self):
-        cfg = ParticleSimConfig(n_particles=100_000, dt=1e-3, t_max=4.0,
+        cfg = ParticleSimConfig(n_particles=100_000,
                                 record_times=(0.5, 1.0, 1.2585, 2.0, 4.0), seed=0)
         start = time.monotonic()
         curve = empirical_capture_curve(cfg, S1)
@@ -337,8 +337,7 @@ class TestCriterion8:
         first = tmp_path / "eval1"
         assert cli_main(["eval", "--seed", "3", "--out", str(first),
                          "--model", str(model / "semantic.ckpt"),
-                         "--data", str(data), "--trials", "1",
-                         "--threads", "1"]) == EXIT_OK
+                         "--data", str(data), "--trials", "1"]) == EXIT_OK
         second = tmp_path / "eval2"
         assert cli_main(["eval", "--config", str(first / "manifest.json"),
                          "--out", str(second)]) == EXIT_OK
