@@ -165,43 +165,6 @@ def load_params(path_or_name: str) -> ChannelParams:
     return ChannelParams(**raw)  # type: ignore[arg-type]
 
 
-class SymbolSequence:
-    """Ordered release fractions for one frame, each in [0, 1]."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values) -> None:
-        vals = tuple(float(v) for v in values)
-        if len(vals) < 1:
-            raise ValueError("a frame carries at least one symbol")
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"release fraction {v} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolSequence is immutable")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolSequence) and self.values == other.values
-
-    def __repr__(self) -> str:
-        return f"SymbolSequence({list(self.values)!r})"
-
-
-def _as_sequence(w) -> SymbolSequence:
-    return w if isinstance(w, SymbolSequence) else SymbolSequence(w)
-
-
 def capture_probability(p: ChannelParams, t: float) -> float:
     """Probability that a molecule released at t=0 sits inside the receiver at t.
 
@@ -273,11 +236,9 @@ def sample_count(rng: np.random.Generator, p: ChannelParams, w: float, t: float)
 
 @dataclass(frozen=True)
 class SlotObservation:
-    """One receiver observation: raw count plus its expected decomposition."""
+    """One receiver observation: raw count and the normalized symbol."""
 
     count: float        # observed molecules, >= 0
-    signal_mean: float  # expected current-slot contribution
-    isi_mean: float     # expected residue of the prior slots
     w_rx: float         # count / (max_molecules * P(t)), the normalized symbol
 
 
@@ -301,16 +262,13 @@ def observe_slot(
         raise ValueError(f"observation instant {t} outside (0, slot_s]")
     window = [float(v) for v in w_prev_window][: p.memory]
     count = sample_count(rng, p, w_curr, t)
-    signal_mean, _ = count_moments(p, w_curr, t)
-    isi_mean = 0.0
     for i, w_past in enumerate(window, start=1):
         count += sample_count(rng, p, w_past, t + i * p.slot_s)
-        isi_mean += count_moments(p, w_past, t + i * p.slot_s)[0]
     if p.noise_std > 0:
         count += p.noise_std * rng.standard_normal()
     count = max(0.0, count)
     w_rx = count / (p.max_molecules * capture_probability(p, t))
-    return SlotObservation(count=count, signal_mean=signal_mean, isi_mean=isi_mean, w_rx=w_rx)
+    return SlotObservation(count=count, w_rx=w_rx)
 
 
 def normalized_slot_moments(
@@ -377,36 +335,22 @@ def observe_frames(
     return counts / (p.max_molecules * probs[0])
 
 
-def sir_at(
-    p: ChannelParams,
-    w_seq,
-    j: int,
-    t: float,
-    sampled: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
+def sir_at(p: ChannelParams, w_seq, j: int, t: float) -> float:
     """Signal-to-interference ratio of slot j observed at in-slot time t.
 
-    Deterministic by default: expected counts in numerator and ISI terms,
-    with the noise magnitude ``noise_std`` added to the denominator. With
-    ``sampled=True`` the counts are drawn instead (requires ``rng``).
+    Expected counts in numerator and ISI terms, with the noise magnitude
+    ``noise_std`` added to the denominator. ``w_seq`` lists the frame's
+    release fractions, each in [0, 1].
     """
-    seq = _as_sequence(w_seq)
-    if not 0 <= j < len(seq):
-        raise IndexError(f"slot index {j} outside [0, {len(seq)})")
-    if seq[j] == 0.0:
+    if not 0 <= j < len(w_seq):
+        raise IndexError(f"slot index {j} outside [0, {len(w_seq)})")
+    if w_seq[j] == 0.0:
         return 0.0
-
-    def term(w: float, tau: float) -> float:
-        if sampled:
-            return sample_count(rng, p, w, tau)
-        return count_moments(p, w, tau)[0]
-
-    signal = term(seq[j], t)
+    signal = count_moments(p, w_seq[j], t)[0]
     interference = 0.0
     for i in range(1, p.memory + 1):
         if j - i >= 0:
-            interference += term(seq[j - i], t + i * p.slot_s)
+            interference += count_moments(p, w_seq[j - i], t + i * p.slot_s)[0]
     denom = interference + p.noise_std
     if denom == 0.0:
         return math.inf
@@ -421,13 +365,14 @@ def sir_trace(p: ChannelParams, w_seq, dt: float) -> np.ndarray:
     """
     if not 0 < dt < p.slot_s:
         raise ValueError(f"dt must lie in (0, slot_s), got {dt}")
-    seq = _as_sequence(w_seq)
+    if len(w_seq) < 1:
+        raise ValueError("a frame carries at least one symbol")
     steps = int(round(p.slot_s / dt))
     rows = []
-    for j in range(len(seq)):
+    for j in range(len(w_seq)):
         for n in range(1, steps + 1):
             t_local = n * dt
-            rows.append((j * p.slot_s + t_local, sir_at(p, seq, j, t_local)))
+            rows.append((j * p.slot_s + t_local, sir_at(p, w_seq, j, t_local)))
     return np.array(rows)
 
 

@@ -86,6 +86,13 @@ def _load_config(args) -> None:
         args._config_params = params
 
 
+def _require_positive(params: dict, *keys: str) -> None:
+    """Reject a count flag below 1 before any work starts."""
+    for key in keys:
+        if params[key] < 1:
+            raise UsageError(f"--{key} must be at least 1, got {params[key]}")
+
+
 def _out_dir(args) -> Path:
     out = Path(_resolve(args, "out", "runs"))
     out.mkdir(parents=True, exist_ok=True)
@@ -149,6 +156,7 @@ def cmd_sim_sir(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "symbols")
         names = channel.scenario_names() if params["scenario"] == "both" else (params["scenario"],)
         links = [(name, _channel_params(args, {**params, "scenario": name})) for name in names]
         for _, p in links:
@@ -197,6 +205,7 @@ def cmd_fit_channel(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "pairs")
         p = _channel_params(args, params)
         cfg = surrogate.FitConfig(n_pairs=params["pairs"], max_epochs=params["epochs"])
     out = Path(params["out"])
@@ -231,6 +240,7 @@ def cmd_train(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "epochs", "batch")
         if not params["data"] or not params["surrogate"]:
             raise UsageError("train requires --data <dir from gen-data> and --surrogate <ckpt>")
         train_path = Path(params["data"]) / "train.ds"
@@ -270,6 +280,7 @@ def cmd_eval(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "trials")
         if not params["model"] or not params["data"]:
             raise UsageError("eval requires --model <semantic ckpt> and --data <dir>")
         test_path = Path(params["data"]) / "test.ds"
@@ -278,6 +289,10 @@ def cmd_eval(args) -> int:
         model = transceiver.SemanticModel.load(params["model"])
         p = _channel_params(args, params)
         test_set = dataset.load_dataset(test_path)
+        shape = (test_set.height, test_set.width, test_set.channels)
+        if shape != model.image_shape:
+            raise UsageError(f"{test_path} holds {shape} images; the model expects "
+                             f"{model.image_shape}")
     acc, lo, hi = transceiver.evaluate_accuracy(
         runio.derive_rng(seed, "eval"), model, p, test_set, n_trials=params["trials"])
     out = Path(params["out"])
@@ -304,6 +319,7 @@ def cmd_sweep(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "pairs", "trials")
         if not params["data"]:
             raise UsageError("sweep requires --data <dir from gen-data>")
         data_dir = Path(params["data"])

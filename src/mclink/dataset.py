@@ -35,20 +35,6 @@ DATASET_VERSION = 1
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One flattened image with its class index; pixels in [0, 1]."""
-
-    image: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        img = np.asarray(self.image, dtype=float)
-        if img.min() < 0.0 or img.max() > 1.0:
-            raise ValueError("pixel values must lie in [0, 1]")
-        object.__setattr__(self, "image", img.reshape(-1))
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Images as (N, H*W*C) rows plus integer labels."""
 
@@ -64,9 +50,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
-
-    def sample(self, i: int) -> LabeledSample:
-        return LabeledSample(image=self.images[i], label=int(self.labels[i]))
 
 
 def _base_pattern(label: int, size: int) -> np.ndarray:

@@ -46,9 +46,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Populate gradients of every upstream tensor of this scalar."""
         if self.data.size != 1:
@@ -387,9 +384,6 @@ class DenseNet:
             h = reshape(h, (-1,))
         return h
 
-    def __call__(self, x) -> Tensor:
-        return self.forward(x)
-
     def parameters(self) -> list[Tensor]:
         return [t for pair in zip(self.weights, self.biases) for t in pair]
 
@@ -411,8 +405,8 @@ class DenseNet:
             t.data = np.array(a, dtype=np.float64)
 
 
-def cross_entropy(y, z, reduction: str = "mean"):
-    """Cross-entropy -sum z_i log y_i between predictions y and one-hot z.
+def cross_entropy(y, z):
+    """Mean cross-entropy -sum z_i log y_i between predictions y and one-hot z.
 
     ``y`` may be a Tensor (returns a Tensor on the graph) or an array
     (returns a float). Each y row must sum to 1 within 1e-6; z must be
@@ -429,15 +423,13 @@ def cross_entropy(y, z, reduction: str = "mean"):
     sums = y_data.reshape(-1, y_data.shape[-1]).sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError("each y row must sum to 1 within 1e-6")
-    if reduction not in ("mean", "sum"):
-        raise ValueError("reduction must be 'mean' or 'sum'")
     if y_t is None:
         per = -(z * np.log(np.maximum(y_data, LOG_EPS))).sum(axis=-1)
-        return float(per.mean() if reduction == "mean" else per.sum())
+        return float(per.mean())
     per = mul(tsum(mul(Tensor(z), log(maximum_scalar(y_t, LOG_EPS))), axis=-1), -1.0)
     if per.data.ndim == 0:
         return per
-    return tmean(per) if reduction == "mean" else tsum(per)
+    return tmean(per)
 
 
 def clip_gradients(params, max_norm: float) -> float:

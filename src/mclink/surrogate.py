@@ -31,7 +31,6 @@ MDN_LAYERS = 5
 SIGMA2_MIN = 1e-6
 SIGMA2_MAX = 1e2
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-SAMPLE_MODES = ("sample", "mean", "relaxed")
 
 SURROGATE_ROLE = "channel_surrogate"
 
@@ -204,29 +203,17 @@ def sample_surrogate(
 
 @dataclass
 class ChannelSurrogate:
-    """Trained mixture-density channel plus its sampling configuration."""
+    """Trained mixture-density channel."""
 
     net: DenseNet
     h: int = COMPONENTS
-    sample_mode: str = "sample"       # sample | mean | relaxed
-    temperature: float = 0.5          # for the relaxed (Gumbel-softmax) mode
     frozen: bool = False
     channel: dict = field(default_factory=dict)   # provenance echo
-
-    def __post_init__(self):
-        if self.sample_mode not in SAMPLE_MODES:
-            raise ValueError(f"sample_mode must be one of {SAMPLE_MODES}")
 
     def freeze(self) -> "ChannelSurrogate":
         self.net.set_requires_grad(False)
         self.frozen = True
         return self
-
-    def mixture_tensors(self, ctx: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        return mdn_head_tensors(self.net.forward(ctx), self.h)
-
-    def mixture_at(self, w_curr: float, w_prev: float) -> MixtureParams:
-        return mdn_forward(self.net, np.array([w_curr, w_prev]))
 
     def sample_tensor(
         self,
@@ -235,50 +222,17 @@ class ChannelSurrogate:
         frozen_noise=None,
     ) -> Tensor:
         """Per-row received-symbol draw with a gradient path into ``ctx``."""
-        pi_t, mu_t, s2_t = self.mixture_tensors(ctx)
-        if self.sample_mode == "mean":
-            return nn.tsum(pi_t * mu_t, axis=-1)
-        if self.sample_mode == "sample":
-            return sample_surrogate(rng, (pi_t, mu_t, s2_t), frozen_noise=frozen_noise)
-        # relaxed: Gumbel-softmax weights over components at fixed temperature
-        n, h = pi_t.data.shape
-        if frozen_noise is None:
-            if rng is None:
-                raise ValueError("need an rng when no frozen noise is supplied")
-            gumbel = -np.log(-np.log(rng.random((n, h))))
-            eps = rng.standard_normal((n, h))
-        else:
-            gumbel, eps = frozen_noise
-        logits = (nn.log(nn.maximum_scalar(pi_t, 1e-12)) + Tensor(gumbel)) * (1.0 / self.temperature)
-        weights = nn.softmax(logits, axis=-1)
-        return nn.tsum(weights * (mu_t + nn.sqrt(s2_t) * Tensor(eps)), axis=-1)
-
-    def sample_numeric(self, contexts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = self.sample_tensor(Tensor(np.atleast_2d(contexts)), rng)
-        return out.data
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return self.net.state_arrays()
+        mixture = mdn_head_tensors(self.net.forward(ctx), self.h)
+        return sample_surrogate(rng, mixture, frozen_noise=frozen_noise)
 
     def save(self, path) -> None:
-        meta = {
-            "h": self.h,
-            "sample_mode": self.sample_mode,
-            "temperature": self.temperature,
-            "channel": self.channel,
-        }
+        meta = {"h": self.h, "channel": self.channel}
         nn.save_checkpoint(path, SURROGATE_ROLE, {"mdn": self.net}, meta)
 
     @classmethod
     def load(cls, path) -> "ChannelSurrogate":
         _, nets, meta = nn.load_checkpoint(path, expect_role=SURROGATE_ROLE)
-        surr = cls(
-            net=nets["mdn"],
-            h=int(meta["h"]),
-            sample_mode=meta["sample_mode"],
-            temperature=float(meta["temperature"]),
-            channel=meta.get("channel", {}),
-        )
+        surr = cls(net=nets["mdn"], h=int(meta["h"]), channel=meta.get("channel", {}))
         return surr.freeze()
 
 
@@ -297,7 +251,6 @@ class FitConfig:
     decay_patience: int = 3      # epochs without a new best before lr halves
     min_lr: float = 1e-5         # the plateau test counts only at this rate
     clip_norm: float = 5.0       # global gradient-norm ceiling
-    sample_mode: str = "sample"
 
 
 def fit_channel(
@@ -369,10 +322,7 @@ def fit_channel(
             if (anchor - best_nll) / max(1.0, abs(anchor)) < cfg.rel_tolerance:
                 break
     net.load_state_arrays(best_state)
-    surrogate = ChannelSurrogate(
-        net=net, h=COMPONENTS, sample_mode=cfg.sample_mode,
-        channel={"params": asdict(p)},
-    )
+    surrogate = ChannelSurrogate(net=net, h=COMPONENTS, channel={"params": asdict(p)})
     return surrogate.freeze(), history
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .channel import ChannelParams, SymbolSequence, observe_frames
+from .channel import ChannelParams, observe_frames
 from .dataset import Dataset, one_hot
 from .nn import DenseNet, Tensor
 from .surrogate import ChannelSurrogate, TrainingDivergedError
@@ -117,18 +117,12 @@ def standardization_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_batch(model: SemanticModel, images: np.ndarray) -> Tensor:
     """Release fractions W in (0,1)^(B,k) for a standardized image batch."""
-    x = Tensor(model.standardize(np.atleast_2d(images)))
+    images = np.atleast_2d(images)
+    width, expected = int(np.prod(images.shape[1:])), int(np.prod(model.image_shape))
+    if images.ndim != 2 or width != expected:
+        raise ValueError(f"images have {width} values each, model expects {expected}")
+    x = Tensor(model.standardize(images))
     return model.quantizer.forward(model.encoder.forward(x))
-
-
-def encode(model: SemanticModel, image) -> SymbolSequence:
-    """Release fractions for one image as an immutable symbol frame."""
-    image = np.asarray(image, dtype=float).reshape(-1)
-    expected = int(np.prod(model.image_shape))
-    if image.size != expected:
-        raise ValueError(f"image has {image.size} values, model expects {expected}")
-    w = encode_batch(model, image[None, :]).data[0]
-    return SymbolSequence(w)
 
 
 def _frame_contexts(w: Tensor) -> Tensor:
@@ -175,12 +169,6 @@ def transmit_eval(
     w = encode_batch(model, images).data
     w_rx = observe_frames(rng, p, w, t)
     return model.decoder.forward(Tensor(w_rx)).data
-
-
-def report_bcr(model: SemanticModel, input_dims: tuple[int, int, int] | None = None) -> float:
-    """Bandwidth compression ratio: symbols per frame over input values."""
-    dims = input_dims if input_dims is not None else model.image_shape
-    return model.symbols / float(np.prod(dims))
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:

@@ -255,7 +255,7 @@ class TestCriterion5:
         gauss_nll = single_gaussian_nll(tgt[n_val:], tgt[:n_val])
 
         pctx, ptgt = generate_pairs(derive_rng(0, "acceptance", "probe"), S1, 20_000)
-        draws = surr.sample_numeric(pctx, derive_rng(0, "acceptance", "draws"))
+        draws = surr.sample_tensor(Tensor(pctx), derive_rng(0, "acceptance", "draws")).data
         worst = 0.0
         for lo in (0.0, 0.2, 0.4, 0.6, 0.8):
             for prev_half in (0, 1):

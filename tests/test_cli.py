@@ -7,7 +7,7 @@ import pytest
 
 from mclink import baseline
 from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, main
-from mclink.dataset import load_dataset
+from mclink.dataset import load_dataset, make_dataset, save_dataset
 from mclink.nn import load_checkpoint
 from mclink.runio import load_manifest
 
@@ -223,6 +223,35 @@ class TestExitCodes:
     def test_zero_budget_is_usage_error(self, tmp_path, capsys):
         assert run(["fit-channel", "--out", tmp_path, "--n-m", 0]) == EXIT_USAGE
         assert "max_molecules" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("sim-sir", "symbols", 0), ("fit-channel", "pairs", 0), ("train", "batch", 0),
+        ("train", "epochs", 0), ("eval", "trials", 0), ("sweep", "trials", 0),
+        ("sweep", "pairs", -1),
+    ])
+    def test_non_positive_count_is_usage_error(self, pipeline, tmp_path, capsys,
+                                               command, flag, value):
+        inputs = {
+            "train": ["--data", pipeline / "data", "--surrogate", pipeline / "surr" / "surrogate.ckpt"],
+            "eval": ["--data", pipeline / "data", "--model", pipeline / "model" / "semantic.ckpt"],
+            "sweep": ["--data", pipeline / "data"],
+        }
+        out = tmp_path / "out"
+        argv = [command, f"--{flag}", value, "--out", out, *inputs.get(command, [])]
+        assert run(argv) == EXIT_USAGE
+        assert f"--{flag}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []     # rejected before any work or manifest
+
+    def test_mismatched_dataset_is_usage_error(self, pipeline, tmp_path, capsys):
+        small = tmp_path / "small"
+        small.mkdir()
+        save_dataset(small / "test.ds", make_dataset(np.random.default_rng(0), 8, size=8))
+        out = tmp_path / "out"
+        code = run(["eval", "--out", out, "--data", small,
+                    "--model", pipeline / "model" / "semantic.ckpt"])
+        assert code == EXIT_USAGE
+        assert "(8, 8, 1)" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_invalid_approximation_mid_run_is_runtime_failure(self, tmp_path, capsys):
         link = tmp_path / "link.txt"

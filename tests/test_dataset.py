@@ -7,7 +7,6 @@ from mclink.dataset import (
     CLASS_NAMES,
     Dataset,
     DatasetFormatError,
-    LabeledSample,
     load_dataset,
     make_dataset,
     make_image,
@@ -53,16 +52,6 @@ class TestDataset:
         counts = np.bincount(a.labels)
         assert counts.tolist() == [100, 100, 100, 100]
         assert a.num_classes == len(CLASS_NAMES)
-
-    def test_sample_accessor(self):
-        ds = make_dataset(np.random.default_rng(0), 8)
-        s = ds.sample(3)
-        assert isinstance(s, LabeledSample)
-        assert s.label == 3 and s.image.shape == (256,)
-
-    def test_labeled_sample_range_checked(self):
-        with pytest.raises(ValueError):
-            LabeledSample(image=np.array([0.5, 1.5]), label=0)
 
 
 class TestContainer:

@@ -83,7 +83,7 @@ class TestCrossEntropy:
         singles = [cross_entropy(y[i], z[i]) for i in range(2)]
         assert cross_entropy(y, z) == pytest.approx(np.mean(singles), rel=1e-12)
 
-    def test_duplicated_batch_doubles_sum_reduction_grads(self):
+    def test_duplicating_batch_leaves_mean_reduction_grads_unchanged(self):
         rng = np.random.default_rng(3)
         net = DenseNet([4, 3], ["softmax"], rng=rng)
         x1 = rng.normal(size=(1, 4))
@@ -92,14 +92,14 @@ class TestCrossEntropy:
         def grads(x, z):
             for p in net.parameters():
                 p.zero_grad()
-            loss = cross_entropy(net.forward(Tensor(x)), z, reduction="sum")
+            loss = cross_entropy(net.forward(Tensor(x)), z)
             loss.backward()
             return [p.grad.copy() for p in net.parameters()]
 
         single = grads(x1, z1)
         double = grads(np.vstack([x1, x1]), np.vstack([z1, z1]))
         for a, b in zip(single, double):
-            assert np.allclose(b, 2.0 * a, rtol=1e-12)
+            assert np.allclose(b, a, rtol=1e-12)
 
 
 class TestBackward:

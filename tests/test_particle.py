@@ -77,14 +77,17 @@ class TestPresence:
             assert abs(emp - truth) < 4.5 * se
 
     def test_matches_formula_in_validity_region(self):
-        cfg = ParticleSimConfig(n_particles=20_000, record_times=(1.0, 1.2585, 2.0), seed=42)
+        # the formula sits 3.7-4.7% above the exact law at these probes; 200k
+        # particles put the 15% gate 5.6-6.5 SE from the expected reading
+        cfg = ParticleSimConfig(n_particles=200_000, record_times=(1.0, 1.2585, 2.0), seed=42)
         for t, emp in simulate_presence(cfg, S1):
             analytic = capture_probability(S1, t)
             assert abs(emp - analytic) / analytic < 0.15
 
     def test_matches_formula_scenario2(self):
-        # the formula's validity gate (analytic >= 1e-3) holds at these probes
-        cfg = ParticleSimConfig(n_particles=20_000, record_times=(1.4999, 1.5, 1.5001), seed=7)
+        # the formula's validity gate (analytic >= 1e-3) holds at these probes;
+        # it reads 4.0-5.1% above the exact law, 5.9-6.3 SE inside the 15% gate
+        cfg = ParticleSimConfig(n_particles=200_000, record_times=(1.4999, 1.5, 1.5001), seed=7)
         for t, emp in simulate_presence(cfg, S2):
             analytic = capture_probability(S2, t)
             assert analytic >= 1e-3

@@ -12,6 +12,7 @@ from mclink.surrogate import (
     ChannelSurrogate,
     FitConfig,
     MixtureParams,
+    SURROGATE_ROLE,
     TrainingDivergedError,
     build_mdn_net,
     fit_channel,
@@ -255,39 +256,30 @@ class TestSampleSurrogate:
 
 
 class TestChannelSurrogate:
-    def test_sampling_modes_run_and_differ(self):
-        net = build_mdn_net(np.random.default_rng(2))
-        ctx = Tensor(np.random.default_rng(3).uniform(size=(6, 2)))
-        outs = {}
-        for mode in ("sample", "mean", "relaxed"):
-            surr = ChannelSurrogate(net=net, sample_mode=mode).freeze()
-            outs[mode] = surr.sample_tensor(ctx, np.random.default_rng(4)).data
-        assert outs["sample"].shape == outs["mean"].shape == outs["relaxed"].shape
-        assert not np.allclose(outs["sample"], outs["mean"])
-
-    def test_mean_mode_matches_mixture_mean(self):
-        net = build_mdn_net(np.random.default_rng(2))
-        surr = ChannelSurrogate(net=net, sample_mode="mean").freeze()
-        ctx = np.array([[0.25, 0.75]])
-        out = surr.sample_tensor(Tensor(ctx), None).data
-        assert out[0] == pytest.approx(mdn_forward(net, ctx[0]).mean(), rel=1e-12)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="sample_mode"):
-            ChannelSurrogate(net=build_mdn_net(np.random.default_rng(0)),
-                             sample_mode="antithetic")
-
     def test_checkpoint_roundtrip(self, tmp_path):
         net = build_mdn_net(np.random.default_rng(5))
-        surr = ChannelSurrogate(net=net, sample_mode="relaxed", temperature=0.7,
-                                channel={"name": "scenario1"}).freeze()
+        surr = ChannelSurrogate(net=net, channel={"name": "scenario1"}).freeze()
         path = tmp_path / "surrogate.ckpt"
         surr.save(path)
         loaded = ChannelSurrogate.load(path)
-        assert loaded.frozen and loaded.sample_mode == "relaxed"
-        assert loaded.temperature == 0.7
-        for a, b in zip(surr.state_arrays(), loaded.state_arrays()):
+        assert loaded.frozen and loaded.channel == {"name": "scenario1"}
+        for a, b in zip(surr.net.state_arrays(), loaded.net.state_arrays()):
             assert np.array_equal(a, b)
+
+    def test_old_format_checkpoint_loads_and_samples(self, tmp_path):
+        # checkpoints written before the sampling modes were dropped carry
+        # two more meta keys; they load and draw like a current one
+        net = build_mdn_net(np.random.default_rng(5))
+        path = tmp_path / "old.ckpt"
+        nn.save_checkpoint(path, SURROGATE_ROLE, {"mdn": net},
+                           {"h": 2, "sample_mode": "sample", "temperature": 0.5,
+                            "channel": {"scenario": "scenario1"}})
+        loaded = ChannelSurrogate.load(path)
+        current = ChannelSurrogate(net=net).freeze()
+        ctx = Tensor(np.random.default_rng(6).uniform(size=(8, 2)))
+        draws = loaded.sample_tensor(ctx, np.random.default_rng(7)).data
+        assert loaded.frozen and loaded.channel == {"scenario": "scenario1"}
+        assert np.array_equal(draws, current.sample_tensor(ctx, np.random.default_rng(7)).data)
 
 
 @pytest.fixture(scope="module")
@@ -333,14 +325,14 @@ class TestFitChannel:
         surr, _, _ = fitted_surrogate
         # (1,1) is the thin corner of the uniform context draw, hence the
         # wider band than the dense mid-range contexts get
-        assert surr.mixture_at(1.0, 1.0).mean() == pytest.approx(
+        assert mdn_forward(surr.net, (1.0, 1.0)).mean() == pytest.approx(
             MEAN_AT_FULL_CONTEXT, abs=0.07)
 
     def test_trained_variance_within_factor_two_of_simulator(self, fitted_surrogate):
         surr, _, _ = fitted_surrogate
         for w_curr in (0.5, 0.75, 1.0):
             for w_prev in (0.25, 0.75):
-                mp = surr.mixture_at(w_curr, w_prev)
+                mp = mdn_forward(surr.net, (w_curr, w_prev))
                 _, sim_var = normalized_slot_moments(S1, w_curr, [w_prev])
                 assert mp.variance() > 0.0
                 assert 0.5 < mp.variance() / sim_var < 2.0
@@ -350,7 +342,7 @@ class TestFitChannel:
         grid = np.linspace(-10.0, 10.0, 20001)
         for w_curr in (0.0, 0.25, 0.5, 0.75, 1.0):
             for w_prev in (0.0, 0.5, 1.0):
-                mp = surr.mixture_at(w_curr, w_prev)
+                mp = mdn_forward(surr.net, (w_curr, w_prev))
                 mass = np.trapezoid(mixture_pdf(mp, grid), grid)
                 assert abs(mass - 1.0) < 1e-3
 
