@@ -90,7 +90,8 @@ def _require_positive(params: dict, *keys: str) -> None:
     """Reject a count flag below 1 before any work starts."""
     for key in keys:
         if params[key] < 1:
-            raise UsageError(f"--{key} must be at least 1, got {params[key]}")
+            flag = key.replace("_", "-")
+            raise UsageError(f"--{flag} must be at least 1, got {params[key]}")
 
 
 def _out_dir(args) -> Path:
@@ -183,6 +184,7 @@ def cmd_gen_data(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
+        _require_positive(params, "train_count", "test_count")
     out = Path(params["out"])
     train = dataset.make_dataset(runio.derive_rng(seed, "dataset", "train"), params["train_count"])
     test = dataset.make_dataset(runio.derive_rng(seed, "dataset", "test"), params["test_count"])
@@ -205,7 +207,7 @@ def cmd_fit_channel(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "pairs")
+        _require_positive(params, "pairs", "epochs")
         p = _channel_params(args, params)
         cfg = surrogate.FitConfig(n_pairs=params["pairs"], max_epochs=params["epochs"])
     out = Path(params["out"])
@@ -319,7 +321,7 @@ def cmd_sweep(args) -> int:
             "out": str(_out_dir(args)),
         }
         seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "pairs", "trials")
+        _require_positive(params, "pairs", "epochs", "trials")
         if not params["data"]:
             raise UsageError("sweep requires --data <dir from gen-data>")
         data_dir = Path(params["data"])

@@ -121,7 +121,8 @@ def load_dataset(path) -> Dataset:
         labels = fh.read(count)
         if len(pixels) != 4 * n_px or len(labels) != count:
             raise DatasetFormatError(f"{path}: truncated container")
-    images = np.frombuffer(pixels, dtype="<f4").astype(float).reshape(count, -1)
+    images = np.frombuffer(pixels, dtype="<f4").astype(float).reshape(
+        count, height * width * channels)
     return Dataset(images=images,
                    labels=np.frombuffer(labels, dtype=np.uint8).astype(np.int64),
                    height=height, width=width, channels=channels)

@@ -227,7 +227,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, flag, value", [
         ("sim-sir", "symbols", 0), ("fit-channel", "pairs", 0), ("train", "batch", 0),
         ("train", "epochs", 0), ("eval", "trials", 0), ("sweep", "trials", 0),
-        ("sweep", "pairs", -1),
+        ("sweep", "pairs", -1), ("fit-channel", "epochs", 0), ("sweep", "epochs", 0),
+        ("gen-data", "train-count", 0), ("gen-data", "test-count", 0),
+        ("gen-data", "train-count", -3),
     ])
     def test_non_positive_count_is_usage_error(self, pipeline, tmp_path, capsys,
                                                command, flag, value):

@@ -68,6 +68,13 @@ class TestContainer:
         save_dataset(path2, ds)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_empty_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.ds"
+        save_dataset(path, make_dataset(np.random.default_rng(0), 0))
+        back = load_dataset(path)
+        assert back.images.shape == (0, 256) and back.labels.shape == (0,)
+        assert (back.height, back.width, back.channels) == (16, 16, 1)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.ds"
         path.write_bytes(b"GIF89a" + b"\x00" * 64)

@@ -208,6 +208,92 @@ class TestBackward:
         assert nn.tmean(Tensor(x)).data == x.sum() / 5
 
 
+class TestDense:
+    COMPOSED = {
+        "leaky_relu": nn.leaky_relu,
+        "sigmoid": nn.sigmoid,
+        "identity": lambda t: t,
+        "softmax": nn.softmax,
+    }
+
+    @staticmethod
+    def _leaves(seed, h_grad, params_grad):
+        rng = np.random.default_rng(seed)
+        h = Tensor(rng.normal(size=(6, 4)), requires_grad=h_grad)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=params_grad)
+        b = Tensor(rng.normal(size=5), requires_grad=params_grad)
+        return h, w, b, rng.normal(size=(6, 5))
+
+    @pytest.mark.parametrize("h_grad, params_grad", [(True, True), (False, True), (True, False)])
+    @pytest.mark.parametrize("act", ["leaky_relu", "sigmoid", "identity", "softmax"])
+    def test_matches_composed_ops_bit_for_bit(self, act, h_grad, params_grad):
+        outs, grads = [], []
+        for fused in (True, False):
+            h, w, b, upstream = self._leaves(11, h_grad, params_grad)
+            if fused:
+                y = nn.dense(h, w, b, act)
+            else:
+                y = self.COMPOSED[act](nn.add(nn.matmul(h, w), b))
+            nn.tsum(y * Tensor(upstream)).backward()
+            outs.append(y.data)
+            grads.append([t.grad for t in (h, w, b)])
+        assert np.array_equal(outs[0], outs[1])
+        for fused_grad, composed_grad in zip(*grads):
+            if composed_grad is None:
+                assert fused_grad is None
+            else:
+                assert np.array_equal(fused_grad, composed_grad)
+
+    def test_leaky_relu_matches_where_form_bit_for_bit(self):
+        s = nn.LEAKY_SLOPE
+        x = np.array([-2.0, -0.0, 0.0, 3.0, -1e-320, 1e-320, np.inf, -np.inf, np.nan])
+        g = np.linspace(-1.0, 1.0, x.size)
+        t = Tensor(x, requires_grad=True)
+        y = nn.leaky_relu(t)
+        with np.errstate(invalid="ignore"):     # the loss itself sums inf - inf
+            nn.tsum(y * Tensor(g)).backward()
+        bits = lambda a: np.asarray(a).view(np.int64)
+        assert np.array_equal(bits(y.data), bits(np.where(x > 0, x, s * x)))
+        assert np.array_equal(bits(t.grad), bits(g * np.where(x > 0, 1.0, s)))
+
+    def test_tensor_used_twice_gets_summed_gradient(self):
+        rng = np.random.default_rng(13)
+        upstream = rng.normal(size=(3, 2))
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        nn.tsum((x + x) * Tensor(upstream)).backward()
+        assert np.array_equal(x.grad, upstream + upstream)
+
+        h, w, b, up1 = self._leaves(14, True, True)
+        w2 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b2 = Tensor(rng.normal(size=3), requires_grad=True)
+        up2 = rng.normal(size=(6, 3))
+
+        def branch_grads(first, second):
+            h.zero_grad()
+            loss = 0.0
+            if first:
+                loss = loss + nn.tsum(nn.dense(h, w, b, "leaky_relu") * Tensor(up1))
+            if second:
+                loss = loss + nn.tsum(nn.dense(h, w2, b2, "sigmoid") * Tensor(up2))
+            loss.backward()
+            return h.grad
+
+        alone = branch_grads(True, False) + branch_grads(False, True)
+        assert np.array_equal(branch_grads(True, True), alone)
+
+    def test_add_gives_parents_separate_gradients(self):
+        rng = np.random.default_rng(15)
+        upstream = rng.normal(size=(4, 3))
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        nn.tsum((a + b) * Tensor(upstream)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        norm = nn.clip_gradients([a, b], max_norm=0.5)
+        assert norm == pytest.approx(np.sqrt(2.0 * (upstream * upstream).sum()), rel=1e-12)
+        expected = upstream * (0.5 / norm)          # each scaled exactly once
+        assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
+
+
 class TestSGD:
     def test_zero_learning_rate_is_identity(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
