@@ -14,7 +14,6 @@ against the semantic frame's 16.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -214,36 +213,28 @@ def clean_reconstructions(cfg: CodecConfig, images: np.ndarray, image_shape=(16,
     return out
 
 
+CLASSIFIER_CONFIG = nn.TrainConfig(epochs=30, batch_size=64, lr=2e-2)
+
+
 def train_baseline_classifier(
     rng: np.random.Generator,
     cfg: CodecConfig,
     train_set: Dataset,
-    epochs: int = 30,
-    batch_size: int = 64,
-    lr: float = 2e-2,
-    momentum: float = 0.9,
+    train_cfg: nn.TrainConfig = CLASSIFIER_CONFIG,
 ) -> BaselineClassifier:
-    """Fit the reconstruction classifier on channel-free codec output."""
+    """Fit the reconstruction classifier on channel-free codec output, all epochs."""
     shape = (train_set.height, train_set.width)
     recon = clean_reconstructions(cfg, train_set.images, shape)
     mean = recon.mean(axis=0)
     std = np.maximum(recon.std(axis=0), 1e-6)
     x = (recon - mean) / std
-    labels = train_set.labels
     num_classes = train_set.num_classes
     net = DenseNet([x.shape[1], 64, 32, num_classes],
                    ["leaky_relu", "leaky_relu", "softmax"], rng=rng)
-    opt = nn.SGD(net.parameters(), lr=lr, momentum=momentum)
-    z_all = one_hot(labels, num_classes)
-    for _ in range(epochs):
-        order = rng.permutation(len(labels))
-        for start in range(0, len(order), batch_size):
-            sel = order[start:start + batch_size]
-            loss = nn.cross_entropy(net.forward(Tensor(x[sel])), z_all[sel])
-            if not math.isfinite(float(loss.data)):
-                raise RuntimeError("baseline classifier training diverged")
-            loss.backward()
-            opt.step()
+    z_all = one_hot(train_set.labels, num_classes)
+    nn.train(rng, net.parameters(), len(x),
+             lambda rows: nn.cross_entropy(net.forward(Tensor(x[rows])), z_all[rows]),
+             train_cfg)
     return BaselineClassifier(net=net, input_mean=mean, input_std=std, codec=asdict(cfg))
 
 

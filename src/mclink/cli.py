@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baseline, channel, dataset, particle, runio, surrogate, transceiver
+from . import __version__, baseline, channel, dataset, nn, particle, runio, surrogate, transceiver
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -92,6 +92,13 @@ def _require_positive(params: dict, *keys: str) -> None:
         if params[key] < 1:
             flag = key.replace("_", "-")
             raise UsageError(f"--{flag} must be at least 1, got {params[key]}")
+
+
+def _write_history(path: Path, history: dict) -> None:
+    """One row per complete epoch, one column per per-epoch list of ``history``."""
+    keys = [key for key, values in history.items() if isinstance(values, list)]
+    rows = [(i, *row) for i, row in enumerate(zip(*(history[key] for key in keys)))]
+    runio.write_csv(path, ["epoch", *keys], rows)
 
 
 def _out_dir(args) -> Path:
@@ -209,25 +216,27 @@ def cmd_fit_channel(args) -> int:
         seed = int(_resolve(args, "seed", 0))
         _require_positive(params, "pairs", "epochs")
         p = _channel_params(args, params)
-        cfg = surrogate.FitConfig(n_pairs=params["pairs"], max_epochs=params["epochs"])
+        cfg = replace(surrogate.FIT_CONFIG, n_pairs=params["pairs"], epochs=params["epochs"])
     out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
     pairs = surrogate.generate_pairs(rng, p, cfg.n_pairs)
-    surr, history = surrogate.fit_channel(rng, p, cfg, pairs=pairs)
+    try:
+        surr, history = surrogate.fit_channel(rng, p, cfg, pairs=pairs)
+    except nn.TrainingDivergedError as err:
+        _write_history(out / "nll_history.csv", err.history)
+        raise
+    _write_history(out / "nll_history.csv", history)
     surr.channel = {"scenario": params["scenario"], "params": asdict(p)}
     ckpt = out / "surrogate.ckpt"
     surr.save(ckpt)
-    runio.write_csv(out / "nll_history.csv", ["epoch", "train_nll", "val_nll"],
-                    [(i, tr, va) for i, (tr, va) in
-                     enumerate(zip(history["train_nll"], history["val_nll"]))])
     outputs = [ckpt.name, "nll_history.csv"]
     if params["export_pairs"]:
         surrogate.write_pairs_csv(out / "pairs.csv", pairs)
         outputs.append("pairs.csv")
     runio.write_manifest(out, "fit-channel", params, seed, outputs=outputs)
-    final = history["val_nll"][-1] if history["val_nll"] else float("nan")
-    print(f"fitted channel surrogate in {len(history['val_nll'])} epochs, "
-          f"validation NLL {final:.4f} -> {ckpt}")
+    print(f"fitted channel surrogate in {len(history['val_nll'])} epochs "
+          f"(stop: {history['stop']}), best validation NLL {min(history['val_nll']):.4f} "
+          f"-> {ckpt}")
     return EXIT_OK
 
 
@@ -250,23 +259,26 @@ def cmd_train(args) -> int:
             raise UsageError(f"missing dataset: {train_path}")
         surr = surrogate.ChannelSurrogate.load(params["surrogate"])
         train_set = dataset.load_dataset(train_path)
-        cfg = transceiver.TrainConfig(epochs=params["epochs"], batch_size=params["batch"],
-                                      lr=params["lr"])
-    model, history = transceiver.train_end_to_end(
-        runio.derive_rng(seed, "train"), train_set, surr, cfg)
+        cfg = replace(transceiver.TRAIN_CONFIG, epochs=params["epochs"],
+                      batch_size=params["batch"], lr=params["lr"])
     out = Path(params["out"])
+    try:
+        model, history = transceiver.train_end_to_end(
+            runio.derive_rng(seed, "train"), train_set, surr, cfg)
+    except nn.TrainingDivergedError as err:
+        _write_history(out / "train_history.csv", err.history)
+        raise
+    _write_history(out / "train_history.csv", history)
     ckpt = out / "semantic.ckpt"
     model.save(ckpt)
-    rows = list(zip(range(len(history["train_loss"])), history["train_loss"],
-                    history["train_acc"], history["val_loss"], history["val_acc"]))
-    runio.write_csv(out / "train_history.csv",
-                    ["epoch", "train_loss", "train_acc", "val_loss", "val_acc"], rows)
     inputs = {str(train_path): runio.sha256_file(train_path),
               str(params["surrogate"]): runio.sha256_file(params["surrogate"])}
     runio.write_manifest(out, "train", params, seed, inputs=inputs,
                          outputs=[ckpt.name, "train_history.csv"])
-    print(f"trained semantic model: {len(rows)} epochs, "
-          f"final val acc {history['val_acc'][-1]:.3f} -> {ckpt}")
+    kept = history["val_loss"].index(min(history["val_loss"]))
+    print(f"trained semantic model: {len(history['val_loss'])} epochs "
+          f"(stop: {history['stop']}), kept epoch {kept} with val acc "
+          f"{history['val_acc'][kept]:.3f} -> {ckpt}")
     return EXIT_OK
 
 
@@ -343,10 +355,10 @@ def cmd_sweep(args) -> int:
     for n_m, p in links:
         fit_rng = runio.derive_rng(seed, "sweep", n_m, "fit")
         surr, _ = surrogate.fit_channel(
-            fit_rng, p, surrogate.FitConfig(n_pairs=params["pairs"]))
+            fit_rng, p, replace(surrogate.FIT_CONFIG, n_pairs=params["pairs"]))
         model, _ = transceiver.train_end_to_end(
             runio.derive_rng(seed, "sweep", n_m, "train"), train_set, surr,
-            transceiver.TrainConfig(epochs=params["epochs"]))
+            replace(transceiver.TRAIN_CONFIG, epochs=params["epochs"]))
         acc, lo, hi = transceiver.evaluate_accuracy(
             runio.derive_rng(seed, "sweep", n_m, "eval"), model, p, test_set,
             n_trials=params["trials"])
@@ -459,7 +471,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except surrogate.TrainingDivergedError as err:
+    except nn.TrainingDivergedError as err:
         print(f"training failed: {err}", file=sys.stderr)
         return EXIT_RUNTIME
     except (RuntimeError, ValueError, KeyError, OSError) as err:

@@ -8,14 +8,17 @@ node, ``dense``: matmul, bias and activation forward, and a hand-written
 backward that takes the activation's derivative from the layer output
 and forms only the gradients some tensor requires. It runs the same array
 operations as the three composed nodes, so its values are bit-identical
-to theirs. Training is single-threaded by contract so runs are
-reproducible bit for bit for a fixed seed.
+to theirs. Every network trains through one loop, ``train``: SGD with
+momentum, early stopping, best-weight restore. Training is single-threaded
+by contract so runs are reproducible bit for bit for a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -448,19 +451,6 @@ class DenseNet:
         for t in self.parameters():
             t.requires_grad = flag
 
-    def state_arrays(self) -> list[np.ndarray]:
-        """Parameter snapshot (copies), weights/biases interleaved."""
-        return [t.data.copy() for t in self.parameters()]
-
-    def load_state_arrays(self, arrays) -> None:
-        params = self.parameters()
-        if len(arrays) != len(params):
-            raise ValueError("parameter count mismatch")
-        for t, a in zip(params, arrays):
-            if t.data.shape != a.shape:
-                raise ValueError("parameter shape mismatch")
-            t.data = np.array(a, dtype=np.float64)
-
 
 def cross_entropy(y, z):
     """Mean cross-entropy -sum z_i log y_i between predictions y and one-hot z.
@@ -517,10 +507,6 @@ class SGD:
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
@@ -528,7 +514,121 @@ class SGD:
             v *= self.momentum
             v += p.grad
             p.data -= self.lr * v
-        self.zero_grad()
+            p.zero_grad()
+
+
+# ----------------------------------------------------------------------
+# The training loop every trainer hands a batch-loss closure.
+
+VAL_FRACTION = 0.1         # share of its rows a validating trainer holds out
+DECAY_PATIENCE = 3         # epochs without a new best before the rate halves
+PLATEAU_TOLERANCE = 1e-4   # relative gain of the best that still counts as progress
+
+
+class TrainingDivergedError(RuntimeError):
+    """Loss went non-finite; carries the history seen so far."""
+
+    def __init__(self, message: str, history: dict):
+        super().__init__(message)
+        self.history = history
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Settings of one :func:`train` run; each trainer keeps its own defaults."""
+
+    epochs: int
+    batch_size: int
+    lr: float
+    min_lr: float | None = None      # floor the rate halves down to; None: lr itself
+    plateau_window: int = 5          # epochs at the floor the best must improve over
+    clip_norm: float | None = None   # global gradient-norm ceiling; None: no clipping
+    n_pairs: int = 0                 # channel pairs a surrogate fit draws for itself
+
+
+def train(rng: np.random.Generator, params, n_rows: int,
+          batch_loss: Callable[[np.ndarray], Tensor], cfg: TrainConfig,
+          validate: Callable[[], float] | None = None, history: dict | None = None,
+          loss_name: str = "loss") -> dict:
+    """Minibatch SGD with momentum, keeping the best-validation parameters.
+
+    Each epoch draws one ``rng.permutation`` of the ``n_rows`` training
+    rows and steps on ``batch_loss(rows)``, the mean loss over a batch,
+    with the gradient norm clipped to ``cfg.clip_norm`` when one is set.
+    ``validate()`` then returns the validation loss (and may record more
+    per-epoch values in ``history``). After ``DECAY_PATIENCE`` epochs
+    without a new best the rate halves, down to ``cfg.min_lr`` (the rate
+    itself when None). A stall above that floor is often a loss spike a
+    smaller step recovers from, so only at the floor does the plateau test
+    count: stop once the best has improved by less than
+    ``PLATEAU_TOLERANCE`` (relative, ``max(1, |anchor|)``) over
+    ``cfg.plateau_window`` epochs (Prechelt, *Early Stopping -- But When?*,
+    1998). Without ``validate`` every epoch runs and the last parameters stay.
+
+    Returns ``history``: per-epoch ``train_<loss_name>`` (row-weighted)
+    and ``val_<loss_name>``, and ``stop``, one of 'plateau', 'max_epochs'
+    or 'diverged'. A non-finite loss restores the best parameters and
+    raises TrainingDivergedError with the history so far.
+    """
+    params = list(params)
+    history = {} if history is None else history
+    train_values = history.setdefault(f"train_{loss_name}", [])
+    val_values = history.setdefault(f"val_{loss_name}", [])
+    opt = SGD(params, lr=cfg.lr)           # SGD's momentum, 0.9, for every trainer
+    floor = cfg.lr if cfg.min_lr is None else cfg.min_lr
+    best = math.inf
+    best_state = [p.data.copy() for p in params]
+    bests: list[float] = []
+    stale = 0
+
+    def restore_best() -> None:
+        if validate is not None:
+            for p, saved in zip(params, best_state):
+                p.data[...] = saved
+
+    def finite(value: float, stage: str, epoch: int) -> float:
+        if not math.isfinite(value):
+            restore_best()
+            history["stop"] = "diverged"
+            raise TrainingDivergedError(
+                f"{stage} {loss_name} became non-finite at epoch {epoch}", history)
+        return value
+
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_rows)
+        total = 0.0
+        for start in range(0, n_rows, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            loss = batch_loss(rows)
+            value = finite(float(loss.data), "training", epoch)
+            loss.backward()
+            if cfg.clip_norm is not None:
+                clip_gradients(params, cfg.clip_norm)
+            opt.step()
+            total += value * len(rows)
+        train_values.append(total / n_rows)
+        if validate is None:
+            continue
+        val = finite(float(validate()), "validation", epoch)
+        val_values.append(val)
+        if val < best:
+            best, stale = val, 0
+            best_state = [p.data.copy() for p in params]
+        else:
+            stale += 1
+            if stale >= DECAY_PATIENCE and opt.lr > floor:
+                opt.lr = max(opt.lr * 0.5, floor)
+                stale = 0
+        bests.append(best)
+        if opt.lr <= floor and len(bests) > cfg.plateau_window:
+            anchor = bests[-(cfg.plateau_window + 1)]
+            if (anchor - best) / max(1.0, abs(anchor)) < PLATEAU_TOLERANCE:
+                history["stop"] = "plateau"
+                break
+    else:
+        history["stop"] = "max_epochs"
+    restore_best()
+    return history
 
 
 def gradient_check(loss_fn: Callable[[], Tensor], params, h: float = 1e-5) -> float:
@@ -592,8 +692,8 @@ def save_checkpoint(path, role: str, nets: dict[str, DenseNet], meta: dict | Non
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for name in header["nets"]:
-            for arr in nets[name].state_arrays():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for t in nets[name].parameters():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path, expect_role: str | None = None):

@@ -35,14 +35,6 @@ HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SURROGATE_ROLE = "channel_surrogate"
 
 
-class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; carries the history seen so far."""
-
-    def __init__(self, message: str, history: dict):
-        super().__init__(message)
-        self.history = history
-
-
 @dataclass(frozen=True)
 class MixtureParams:
     """Mixture weights/means/variances; rows are contexts for batched use."""
@@ -236,92 +228,34 @@ class ChannelSurrogate:
         return surr.freeze()
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Channel-network training settings."""
-
-    n_pairs: int = 50_000
-    max_epochs: int = 150
-    batch_size: int = 256
-    lr: float = 5e-3
-    momentum: float = 0.9
-    val_fraction: float = 0.1
-    plateau_window: int = 5      # epochs compared for the convergence test
-    rel_tolerance: float = 1e-4
-    decay_patience: int = 3      # epochs without a new best before lr halves
-    min_lr: float = 1e-5         # the plateau test counts only at this rate
-    clip_norm: float = 5.0       # global gradient-norm ceiling
+FIT_CONFIG = nn.TrainConfig(epochs=150, batch_size=256, lr=5e-3, min_lr=1e-5,
+                            plateau_window=5, clip_norm=5.0, n_pairs=50_000)
 
 
 def fit_channel(
     rng: np.random.Generator,
     p: ChannelParams,
-    cfg: FitConfig = FitConfig(),
+    cfg: nn.TrainConfig = FIT_CONFIG,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[ChannelSurrogate, dict]:
-    """Generate pairs, fit the mixture net by NLL, and freeze it.
+    """Fit the mixture net by NLL on ``pairs`` (drawn if None) and freeze it.
 
-    The mixture loss gets stiffer as the variances shrink, so the learning
-    rate halves whenever the validation NLL has not set a new best for
-    ``decay_patience`` epochs, and the best-validation parameters are what
-    the surrogate keeps. A stall at a higher rate is often a loss spike
-    that a smaller step recovers from, so the plateau test counts only once
-    the rate has decayed to ``min_lr``: the fit stops when, at ``min_lr``,
-    the best NLL has improved by less than ``rel_tolerance`` (relative) over
-    ``plateau_window`` epochs, or at ``max_epochs``. Returns the frozen
-    surrogate and {'train_nll': [...], 'val_nll': [...]}.
+    The first tenth of the pairs validates. The loss stiffens as the
+    variances shrink, hence the rate decay and gradient clipping. Returns
+    the surrogate and :func:`nn.train`'s history (``train_nll``/``val_nll``).
     """
     if pairs is None:
         pairs = generate_pairs(rng, p, cfg.n_pairs)
     contexts, targets = pairs
-    n_val = max(1, int(len(targets) * cfg.val_fraction))
+    n_val = max(1, int(len(targets) * nn.VAL_FRACTION))
     val_ctx, val_tgt = contexts[:n_val], targets[:n_val]
     tr_ctx, tr_tgt = contexts[n_val:], targets[n_val:]
 
     net = build_mdn_net(rng)
-    opt = nn.SGD(net.parameters(), lr=cfg.lr, momentum=cfg.momentum)
-    history: dict = {"train_nll": [], "val_nll": []}
-    n_train = len(tr_tgt)
-    best_nll = math.inf
-    best_state = net.state_arrays()
-    best_history: list[float] = []
-    stale = 0
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            loss = mdn_nll(net, (tr_ctx[sel], tr_tgt[sel]))
-            if not math.isfinite(float(loss.data)):
-                raise TrainingDivergedError(
-                    f"channel-network NLL became non-finite at epoch {epoch}", history
-                )
-            loss.backward()
-            nn.clip_gradients(net.parameters(), cfg.clip_norm)
-            opt.step()
-            epoch_loss += float(loss.data) * len(sel)
-        history["train_nll"].append(epoch_loss / n_train)
-        val_nll = float(mdn_nll(net, (val_ctx, val_tgt)).data)
-        if not math.isfinite(val_nll):
-            raise TrainingDivergedError(
-                f"validation NLL became non-finite at epoch {epoch}", history
-            )
-        history["val_nll"].append(val_nll)
-        if val_nll < best_nll:
-            best_nll = val_nll
-            best_state = net.state_arrays()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.decay_patience and opt.lr > cfg.min_lr:
-                opt.lr = max(opt.lr * 0.5, cfg.min_lr)
-                stale = 0
-        best_history.append(best_nll)
-        if opt.lr <= cfg.min_lr and len(best_history) > cfg.plateau_window:
-            anchor = best_history[-(cfg.plateau_window + 1)]
-            if (anchor - best_nll) / max(1.0, abs(anchor)) < cfg.rel_tolerance:
-                break
-    net.load_state_arrays(best_state)
+    history = nn.train(
+        rng, net.parameters(), len(tr_tgt),
+        lambda rows: mdn_nll(net, (tr_ctx[rows], tr_tgt[rows])), cfg,
+        validate=lambda: float(mdn_nll(net, (val_ctx, val_tgt)).data), loss_name="nll")
     surrogate = ChannelSurrogate(net=net, h=COMPONENTS, channel={"params": asdict(p)})
     return surrogate.freeze(), history
 

@@ -24,7 +24,7 @@ from . import nn
 from .channel import ChannelParams, observe_frames
 from .dataset import Dataset, one_hot
 from .nn import DenseNet, Tensor
-from .surrogate import ChannelSurrogate, TrainingDivergedError
+from .surrogate import ChannelSurrogate
 
 SEMANTIC_ROLE = "semantic_model"
 
@@ -51,10 +51,6 @@ class SemanticModel:
     def parameters(self) -> list[Tensor]:
         return (self.encoder.parameters() + self.quantizer.parameters()
                 + self.decoder.parameters())
-
-    def state_arrays(self) -> list[np.ndarray]:
-        return (self.encoder.state_arrays() + self.quantizer.state_arrays()
-                + self.decoder.state_arrays())
 
     def standardize(self, images: np.ndarray) -> np.ndarray:
         return (np.asarray(images, dtype=float) - self.input_mean) / self.input_std
@@ -184,39 +180,28 @@ def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) ->
     return lo, hi
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """End-to-end training settings."""
-
-    epochs: int = 40
-    batch_size: int = 64
-    lr: float = 2e-2
-    momentum: float = 0.9
-    val_fraction: float = 0.1
-    patience: int = 8            # epochs without val-loss improvement
-    min_delta: float = 1e-4
+TRAIN_CONFIG = nn.TrainConfig(epochs=40, batch_size=64, lr=2e-2, plateau_window=8)
 
 
 def train_end_to_end(
     rng: np.random.Generator,
     train_set: Dataset,
     surrogate: ChannelSurrogate,
-    cfg: TrainConfig = TrainConfig(),
+    cfg: nn.TrainConfig = TRAIN_CONFIG,
     model: SemanticModel | None = None,
 ) -> tuple[SemanticModel, dict]:
     """Minimize mean cross-entropy through the frozen surrogate.
 
-    Returns the trained model and per-epoch history (train/val loss and
-    accuracy). Stops early once the validation loss has not improved by
-    ``min_delta`` for ``patience`` epochs; on a non-finite loss the last
-    finite-epoch parameters are restored and TrainingDivergedError raised.
+    A random tenth of the set validates, through the surrogate too. Returns
+    the model with its best-validation parameters and :func:`nn.train`'s
+    history, with per-epoch train/val accuracy added.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
     if not surrogate.frozen:
         raise ValueError("channel surrogate must be frozen before joint training")
     images, labels = train_set.images, train_set.labels
-    n_val = max(1, int(len(labels) * cfg.val_fraction))
+    n_val = max(1, int(len(labels) * nn.VAL_FRACTION))
     perm = rng.permutation(len(labels))
     val_idx, tr_idx = perm[:n_val], perm[n_val:]
     num_classes = train_set.num_classes
@@ -226,53 +211,24 @@ def train_end_to_end(
             rng, image_shape=(train_set.height, train_set.width, train_set.channels),
             num_classes=num_classes, input_mean=mean, input_std=std,
         )
-    opt = nn.SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
     history: dict = {"train_loss": [], "train_acc": [], "val_loss": [], "val_acc": []}
-    best_val = math.inf
-    stale = 0
-    last_good = model.state_arrays()
+    hits: list[int] = []                  # correct answers per batch of this epoch
 
-    def batch_eval(idx) -> tuple[float, float]:
-        y = transmit_train(rng, model, surrogate, images[idx])
-        loss = nn.cross_entropy(y.data, one_hot(labels[idx], num_classes))
-        acc = float((y.data.argmax(axis=1) == labels[idx]).mean())
-        return loss, acc
+    def batch_loss(rows) -> Tensor:
+        sel = tr_idx[rows]
+        y = transmit_train(rng, model, surrogate, images[sel])
+        hits.append(int((y.data.argmax(axis=1) == labels[sel]).sum()))
+        return nn.cross_entropy(y, one_hot(labels[sel], num_classes))
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(tr_idx))
-        epoch_loss = 0.0
-        epoch_correct = 0
-        for start in range(0, len(order), cfg.batch_size):
-            sel = tr_idx[order[start:start + cfg.batch_size]]
-            y = transmit_train(rng, model, surrogate, images[sel])
-            loss = nn.cross_entropy(y, one_hot(labels[sel], num_classes))
-            value = float(loss.data)
-            if not math.isfinite(value):
-                model.encoder.load_state_arrays(last_good[:len(model.encoder.parameters())])
-                rest = last_good[len(model.encoder.parameters()):]
-                nq = len(model.quantizer.parameters())
-                model.quantizer.load_state_arrays(rest[:nq])
-                model.decoder.load_state_arrays(rest[nq:])
-                raise TrainingDivergedError(
-                    f"cross-entropy became non-finite at epoch {epoch}", history
-                )
-            loss.backward()
-            opt.step()
-            epoch_loss += value * len(sel)
-            epoch_correct += int((y.data.argmax(axis=1) == labels[sel]).sum())
-        history["train_loss"].append(epoch_loss / len(tr_idx))
-        history["train_acc"].append(epoch_correct / len(tr_idx))
-        val_loss, val_acc = batch_eval(val_idx)
-        history["val_loss"].append(val_loss)
-        history["val_acc"].append(val_acc)
-        last_good = model.state_arrays()
-        if val_loss < best_val - cfg.min_delta:
-            best_val = val_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
+    def validate() -> float:
+        history["train_acc"].append(sum(hits) / len(tr_idx))
+        hits.clear()
+        y = transmit_train(rng, model, surrogate, images[val_idx]).data
+        history["val_acc"].append(float((y.argmax(axis=1) == labels[val_idx]).mean()))
+        return nn.cross_entropy(y, one_hot(labels[val_idx], num_classes))
+
+    nn.train(rng, model.parameters(), len(tr_idx), batch_loss, cfg,
+             validate=validate, history=history)
     return model, history
 
 

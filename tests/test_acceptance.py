@@ -17,6 +17,7 @@ reported with its measured deviation.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from mclink.particle import ParticleSimConfig, empirical_capture_curve
 from mclink.runio import derive_rng
 from mclink.surrogate import (
     ChannelSurrogate,
-    FitConfig,
+    FIT_CONFIG,
     build_mdn_net,
     fit_channel,
     generate_pairs,
@@ -52,7 +53,7 @@ from mclink.surrogate import (
 )
 from mclink.transceiver import (
     SemanticModel,
-    TrainConfig,
+    TRAIN_CONFIG,
     evaluate_accuracy,
     train_end_to_end,
     transmit_train,
@@ -83,7 +84,7 @@ def full_surrogate():
     rng = derive_rng(0, "acceptance", "surrogate")
     start = time.monotonic()
     pairs = generate_pairs(rng, S1, 50_000)
-    surr, history = fit_channel(rng, S1, FitConfig(), pairs=pairs)
+    surr, history = fit_channel(rng, S1, FIT_CONFIG, pairs=pairs)
     elapsed = time.monotonic() - start
     return surr, history, pairs, elapsed
 
@@ -100,9 +101,9 @@ def sweep_results(toy_data):
     for n_m in SWEEP_BUDGETS:
         p = with_overrides(S1, max_molecules=n_m)
         surr, _ = fit_channel(derive_rng(0, "acceptance", "fit", n_m), p,
-                              FitConfig(n_pairs=12_000))
+                              replace(FIT_CONFIG, n_pairs=12_000))
         model, _ = train_end_to_end(derive_rng(0, "acceptance", "train", n_m),
-                                    train, surr, TrainConfig(epochs=25))
+                                    train, surr, replace(TRAIN_CONFIG, epochs=25))
         sem = evaluate_accuracy(derive_rng(0, "acceptance", "eval", n_m),
                                 model, p, test, n_trials=2)
         base = baseline_evaluate(derive_rng(0, "acceptance", "base", n_m),

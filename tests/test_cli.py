@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from mclink import baseline
+from mclink import baseline, surrogate, transceiver
 from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, main
 from mclink.dataset import load_dataset, make_dataset, save_dataset
-from mclink.nn import load_checkpoint
+from mclink.nn import Tensor, load_checkpoint
 from mclink.runio import load_manifest
 
 FAST_PHYSICS = ["--particles", "20000", "--times", "1.0,1.2585"]
@@ -142,6 +142,15 @@ class TestArtifactFlow:
         hist = (pipeline / "model" / "train_history.csv").read_text().splitlines()
         assert hist[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
 
+    def test_stop_reason_printed(self, pipeline, tmp_path, capsys):
+        assert run(["fit-channel", "--out", tmp_path / "fit", "--pairs", 400,
+                    "--epochs", 2]) == EXIT_OK
+        assert "2 epochs (stop: max_epochs), best validation NLL" in capsys.readouterr().out
+        assert run(["train", "--out", tmp_path / "train", "--data", pipeline / "data",
+                    "--surrogate", tmp_path / "fit" / "surrogate.ckpt",
+                    "--epochs", 2]) == EXIT_OK
+        assert "2 epochs (stop: max_epochs), kept epoch" in capsys.readouterr().out
+
     def test_eval_writes_metrics(self, pipeline, tmp_path):
         out = tmp_path / "eval"
         assert run(["eval", "--seed", 2, "--out", out,
@@ -267,6 +276,32 @@ class TestExitCodes:
         (tmp_path / "train.ds").mkdir()     # the output path is taken by a directory
         assert run(["gen-data", "--out", tmp_path,
                     "--train-count", 8, "--test-count", 4]) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command, module, target, good_calls, csv", [
+        # 360 training pairs in batches of 256, then one validation call
+        ("fit-channel", surrogate, "mdn_nll", 3, "nll_history.csv"),
+        # 360 training images in batches of 64, then one validation call
+        ("train", transceiver, "transmit_train", 7, "train_history.csv"),
+    ])
+    def test_diverged_training_leaves_history(self, pipeline, tmp_path, monkeypatch, capsys,
+                                              command, module, target, good_calls, csv):
+        original = getattr(module, target)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(target)
+            return out if len(calls) <= good_calls else Tensor(np.full_like(out.data, np.nan))
+
+        monkeypatch.setattr(module, target, poisoned)
+        args = {"fit-channel": ["--pairs", 400],
+                "train": ["--data", pipeline / "data",
+                          "--surrogate", pipeline / "surr" / "surrogate.ckpt"]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--out", out, "--epochs", 5, *args]) == EXIT_RUNTIME
+        assert "training failed" in capsys.readouterr().err
+        rows = (out / csv).read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("0,")     # the one complete epoch
 
     def test_baseline_runtime_error_is_runtime_failure(self, pipeline, tmp_path,
                                                        monkeypatch, capsys):

@@ -333,10 +333,109 @@ class TestSGD:
             for _ in range(20):
                 cross_entropy(net.forward(Tensor(x)), z).backward()
                 opt.step()
-            return net.state_arrays()
+            return [t.data for t in net.parameters()]
 
         for a, b in zip(run(), run()):
             assert np.array_equal(a, b)
+
+
+class TestTrainLoop:
+    """``nn.train`` on one weight with loss w^2 and scripted validation losses."""
+
+    def run(self, val_losses, epochs=None, poison_epoch=None, **settings):
+        self.w = w = Tensor(np.array([1.0]), requires_grad=True)
+        self.validated = []               # w as each epoch's validation saw it
+        script = iter(val_losses)
+        calls = []
+
+        def batch_loss(rows):
+            calls.append(len(rows))
+            loss = nn.tsum(w * w)
+            return loss * math.nan if len(calls) - 1 == poison_epoch else loss
+
+        def validate():
+            self.validated.append(w.data.copy())
+            return next(script)
+
+        cfg = nn.TrainConfig(**{"epochs": epochs or len(val_losses), "batch_size": 4,
+                                "lr": 0.1, **settings})
+        return nn.train(np.random.default_rng(0), [w], 4, batch_loss, cfg, validate=validate)
+
+    @pytest.mark.parametrize("val_losses, floor, rates", [
+        ([1.0] * 8, 0.01, [0.1] * 4 + [0.05] * 3 + [0.025]),
+        ([1.0, 1.0, 1.0, 0.5] + [1.0] * 4, 0.01, [0.1] * 7 + [0.05]),   # a new best resets
+        ([1.0] * 12, 0.03, [0.1] * 4 + [0.05] * 3 + [0.03] * 5),       # never below the floor
+    ])
+    def test_rate_halves_after_three_stale_epochs(self, monkeypatch, val_losses, floor, rates):
+        seen = []
+
+        class RecordingSGD(nn.SGD):
+            def step(self):
+                seen.append(self.lr)
+                super().step()
+
+        monkeypatch.setattr(nn, "SGD", RecordingSGD)
+        history = self.run(val_losses, min_lr=floor, plateau_window=50)
+        assert seen == rates                       # one step per epoch
+        assert history["stop"] == "max_epochs"
+
+    def test_plateau_counts_only_at_floor(self):
+        # flat losses: the rate reaches its floor 0.025 after epoch 6, and the
+        # 2-epoch window then stops at once; with the floor at the rate
+        # itself it stops after 3 epochs
+        history = self.run([1.0] * 30, min_lr=0.025, plateau_window=2)
+        assert history["stop"] == "plateau" and len(history["val_loss"]) == 7
+        history = self.run([1.0] * 30, plateau_window=2)
+        assert history["stop"] == "plateau" and len(history["val_loss"]) == 3
+
+    @pytest.mark.parametrize("scale, stops", [(10.0, True), (1.0, False)])
+    def test_plateau_tolerance_is_relative(self, scale, stops):
+        # the same 4e-4 gain per epoch is 8e-5 of an anchor at 10 over the
+        # window, below the 1e-4 tolerance, but 8e-4 of one at 1
+        history = self.run([scale - 4e-4 * i for i in range(12)], plateau_window=2)
+        assert len(history["val_loss"]) == (3 if stops else 12)
+        assert history["stop"] == ("plateau" if stops else "max_epochs")
+
+    def test_best_validation_weights_restored(self):
+        history = self.run([3.0, 1.0, 2.0, 2.5], plateau_window=50)
+        assert history["val_loss"] == [3.0, 1.0, 2.0, 2.5]
+        assert history["stop"] == "max_epochs"
+        assert np.array_equal(self.w.data, self.validated[1])
+        assert not np.array_equal(self.w.data, self.validated[-1])
+
+    @pytest.mark.parametrize("val_losses, poison_epoch, logged", [
+        ([2.0, 1.0, 1.5, 1.5], 3, (3, 3)),           # training loss at epoch 3
+        ([2.0, 1.0, 1.5, math.inf], None, (4, 3)),   # validation loss at epoch 3
+    ])
+    def test_non_finite_loss_raises_with_history_and_best_weights(
+            self, val_losses, poison_epoch, logged):
+        with pytest.raises(nn.TrainingDivergedError, match="epoch 3") as info:
+            self.run(val_losses, epochs=10, poison_epoch=poison_epoch, plateau_window=50)
+        history = info.value.history
+        assert history["stop"] == "diverged"
+        assert (len(history["train_loss"]), len(history["val_loss"])) == logged
+        assert history["val_loss"] == val_losses[:logged[1]]
+        assert np.array_equal(self.w.data, self.validated[1])
+
+    def test_without_validation_every_epoch_runs_and_last_weights_stay(self):
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        batches = []
+
+        def batch_loss(rows):
+            batches.append(rows)
+            return nn.tsum(w * w) * float(len(rows) == 4)   # the 2-row batch: zero loss
+
+        cfg = nn.TrainConfig(epochs=3, batch_size=4, lr=0.1, clip_norm=0.5)
+        history = nn.train(np.random.default_rng(0), [w], 10, batch_loss, cfg)
+        assert history["stop"] == "max_epochs" and history["val_loss"] == []
+        assert [len(rows) for rows in batches] == [4, 4, 2] * 3
+        for epoch in range(3):
+            rows = np.concatenate(batches[3 * epoch:3 * epoch + 3])
+            assert np.array_equal(np.sort(rows), np.arange(10))
+        # the first step's gradient 2.0 is clipped to 0.5, so w moves to 0.95;
+        # the epoch's loss weights each batch by its rows
+        assert history["train_loss"][0] == pytest.approx((4 * 1.0 + 4 * 0.95 ** 2) / 10)
+        assert len(history["train_loss"]) == 3 and w.data[0] < 0.95
 
 
 class TestCheckpoint:
@@ -350,8 +449,8 @@ class TestCheckpoint:
         save_checkpoint(path, "demo_role", {"net": net}, {"note": 1})
         role, nets, meta = load_checkpoint(path)
         assert role == "demo_role" and meta == {"note": 1}
-        for a, b in zip(net.state_arrays(), nets["net"].state_arrays()):
-            assert np.array_equal(a, b)
+        for a, b in zip(net.parameters(), nets["net"].parameters()):
+            assert np.array_equal(a.data, b.data)
         assert nets["net"].activations == net.activations
 
     def test_rejects_wrong_magic(self, tmp_path):
@@ -390,8 +489,8 @@ class TestCheckpoint:
         _, loaded, _ = load_checkpoint(path)
         assert list(loaded) == ["b_net", "a_net"]
         for name in nets:
-            for a, b in zip(nets[name].state_arrays(), loaded[name].state_arrays()):
-                assert np.array_equal(a, b)
+            for a, b in zip(nets[name].parameters(), loaded[name].parameters()):
+                assert np.array_equal(a.data, b.data)
 
 
 class TestDenseNetConstruction:

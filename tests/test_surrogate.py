@@ -1,6 +1,7 @@
 """Mixture-density channel network: pdf, heads, NLL, sampling, fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from mclink.channel import normalized_slot_moments, scenario, with_overrides
 from mclink.nn import Tensor, gradient_check
 from mclink.surrogate import (
     ChannelSurrogate,
-    FitConfig,
+    FIT_CONFIG,
     MixtureParams,
     SURROGATE_ROLE,
-    TrainingDivergedError,
     build_mdn_net,
     fit_channel,
     generate_pairs,
@@ -263,8 +263,8 @@ class TestChannelSurrogate:
         surr.save(path)
         loaded = ChannelSurrogate.load(path)
         assert loaded.frozen and loaded.channel == {"name": "scenario1"}
-        for a, b in zip(surr.net.state_arrays(), loaded.net.state_arrays()):
-            assert np.array_equal(a, b)
+        for a, b in zip(surr.net.parameters(), loaded.net.parameters()):
+            assert np.array_equal(a.data, b.data)
 
     def test_old_format_checkpoint_loads_and_samples(self, tmp_path):
         # checkpoints written before the sampling modes were dropped carry
@@ -286,7 +286,7 @@ class TestChannelSurrogate:
 def fitted_surrogate():
     rng = np.random.default_rng(12)
     pairs = generate_pairs(rng, S1, 12_000)
-    surr, history = fit_channel(rng, S1, FitConfig(n_pairs=12_000), pairs=pairs)
+    surr, history = fit_channel(rng, S1, replace(FIT_CONFIG, n_pairs=12_000), pairs=pairs)
     return surr, history, pairs
 
 
@@ -294,23 +294,11 @@ class TestFitChannel:
     def test_zero_epochs_returns_initial_net(self):
         pairs = generate_pairs(np.random.default_rng(1), S1, 1200)
         rng_fit = np.random.default_rng(11)
-        surr, history = fit_channel(rng_fit, S1, FitConfig(max_epochs=0), pairs=pairs)
+        surr, history = fit_channel(rng_fit, S1, replace(FIT_CONFIG, epochs=0), pairs=pairs)
         reference = build_mdn_net(np.random.default_rng(11))
-        for a, b in zip(surr.net.state_arrays(), reference.state_arrays()):
-            assert np.array_equal(a, b)
+        for a, b in zip(surr.net.parameters(), reference.parameters()):
+            assert np.array_equal(a.data, b.data)
         assert history["train_nll"] == [] and surr.frozen
-
-    def test_plateau_counts_only_at_min_lr(self):
-        # at a rate this small the NLL barely moves, so the plateau test
-        # fires at the first chance it gets
-        pairs = generate_pairs(np.random.default_rng(1), S1, 300)
-        stalled = dict(min_lr=1e-12, plateau_window=3, max_epochs=30)
-        _, history = fit_channel(np.random.default_rng(2), S1,
-                                 FitConfig(lr=1e-12, **stalled), pairs=pairs)
-        assert len(history["val_nll"]) == 4
-        _, history = fit_channel(np.random.default_rng(2), S1,
-                                 FitConfig(lr=4e-12, **stalled), pairs=pairs)
-        assert len(history["val_nll"]) > 4
 
     def test_beats_single_gaussian(self, fitted_surrogate):
         surr, history, pairs = fitted_surrogate
@@ -352,7 +340,7 @@ class TestFitChannel:
         # poisoned observations
         contexts, targets = generate_pairs(np.random.default_rng(2), S1, 600)
         targets[7] = float("nan")
-        with pytest.raises(TrainingDivergedError) as info:
+        with pytest.raises(nn.TrainingDivergedError) as info:
             fit_channel(np.random.default_rng(3), S1,
-                        FitConfig(max_epochs=5), pairs=(contexts, targets))
-        assert isinstance(info.value.history, dict)
+                        replace(FIT_CONFIG, epochs=5), pairs=(contexts, targets))
+        assert info.value.history["stop"] == "diverged"

@@ -1,5 +1,7 @@
 """Semantic pipeline: encoding, surrogate transit, training, evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,14 @@ from mclink.dataset import make_dataset, one_hot
 from mclink.nn import DenseNet, Tensor, gradient_check
 from mclink.surrogate import (
     ChannelSurrogate,
-    FitConfig,
+    FIT_CONFIG,
     build_mdn_net,
     fit_channel,
     generate_pairs,
 )
 from mclink.transceiver import (
     SemanticModel,
-    TrainConfig,
+    TRAIN_CONFIG,
     build_semantic_model,
     encode_batch,
     evaluate_accuracy,
@@ -48,7 +50,7 @@ def small_model():
 def frozen_surrogate():
     rng = np.random.default_rng(1)
     pairs = generate_pairs(rng, S1, 6000)
-    surr, _ = fit_channel(rng, S1, FitConfig(n_pairs=6000), pairs=pairs)
+    surr, _ = fit_channel(rng, S1, replace(FIT_CONFIG, n_pairs=6000), pairs=pairs)
     return surr
 
 
@@ -173,7 +175,7 @@ class TestTransmitEval:
 class TestTraining:
     def test_loss_decreases_and_history_reproducible(self, frozen_surrogate):
         train = make_dataset(np.random.default_rng(13), 320)
-        cfg = TrainConfig(epochs=11, batch_size=64)
+        cfg = replace(TRAIN_CONFIG, epochs=11, batch_size=64)
 
         def run():
             model, hist = train_end_to_end(np.random.default_rng(14), train,
@@ -186,17 +188,17 @@ class TestTraining:
         assert hist_a["train_loss"][10] < hist_a["train_loss"][0]
 
     def test_surrogate_untouched_by_training(self, frozen_surrogate):
-        before = [a.copy() for a in frozen_surrogate.net.state_arrays()]
+        before = [t.data.copy() for t in frozen_surrogate.net.parameters()]
         train = make_dataset(np.random.default_rng(15), 160)
         train_end_to_end(np.random.default_rng(16), train, frozen_surrogate,
-                         TrainConfig(epochs=3, batch_size=32))
-        for a, b in zip(before, frozen_surrogate.net.state_arrays()):
-            assert np.array_equal(a, b)
+                         replace(TRAIN_CONFIG, epochs=3, batch_size=32))
+        for a, t in zip(before, frozen_surrogate.net.parameters()):
+            assert np.array_equal(a, t.data)
 
     def test_label_permutation_leaves_accuracy_statistically_unchanged(self, frozen_surrogate):
         train = make_dataset(np.random.default_rng(17), 640)
         test = make_dataset(np.random.default_rng(18), 240)
-        cfg = TrainConfig(epochs=15, batch_size=64)
+        cfg = replace(TRAIN_CONFIG, epochs=15, batch_size=64)
         perm = np.array([2, 3, 0, 1])
 
         model_a, _ = train_end_to_end(np.random.default_rng(19), train,
@@ -216,6 +218,19 @@ class TestTraining:
                                               S1, permuted_test, n_trials=2)
         assert abs(acc_a - acc_b) < 0.1
 
+    def test_returns_best_validation_weights(self):
+        # through the noiseless identity channel the validation loss is a
+        # function of the weights alone, so the returned model reproduces
+        # the best epoch's reading; this run's loss climbs after epoch 10
+        train = make_dataset(np.random.default_rng(50), 160)
+        model, hist = train_end_to_end(np.random.default_rng(51), train, IdentitySurrogate(),
+                                       replace(TRAIN_CONFIG, epochs=15, lr=0.1))
+        kept = int(np.argmin(hist["val_loss"]))
+        assert kept < len(hist["val_loss"]) - 1
+        val_idx = np.random.default_rng(51).permutation(len(train))[:len(train) // 10]
+        y = transmit_train(None, model, IdentitySurrogate(), train.images[val_idx]).data
+        assert nn.cross_entropy(y, one_hot(train.labels[val_idx], 4)) == hist["val_loss"][kept]
+
     def test_rejects_empty_dataset(self, frozen_surrogate):
         empty = make_dataset(np.random.default_rng(0), 4)
         empty = type(empty)(images=empty.images[:0], labels=empty.labels[:0])
@@ -226,7 +241,7 @@ class TestTraining:
         train = make_dataset(np.random.default_rng(40), 640)
         test = make_dataset(np.random.default_rng(41), 320)
         model, _ = train_end_to_end(np.random.default_rng(42), train,
-                                    frozen_surrogate, TrainConfig(epochs=12))
+                                    frozen_surrogate, replace(TRAIN_CONFIG, epochs=12))
         # accuracy with the channel replaced by the surrogate sampler
         rng = np.random.default_rng(43)
         y_surr = transmit_train(rng, model, frozen_surrogate, test.images)
@@ -304,8 +319,8 @@ class TestCheckpoint:
         back = SemanticModel.load(path)
         assert back.symbols == 16 and back.num_classes == 4
         assert np.array_equal(back.input_mean, mean)
-        for a, b in zip(model.state_arrays(), back.state_arrays()):
-            assert np.array_equal(a, b)
+        for a, b in zip(model.parameters(), back.parameters()):
+            assert np.array_equal(a.data, b.data)
 
     def test_role_checked(self, tmp_path, frozen_surrogate):
         path = tmp_path / "surrogate.ckpt"
