@@ -22,7 +22,7 @@ from . import nn
 from .channel import ChannelParams, capture_probability, observe_frames
 from .dataset import Dataset, one_hot
 from .nn import DenseNet, Tensor
-from .transceiver import wilson_interval
+from .transceiver import trial_accuracy
 
 CHANNEL_CODES = ("none", "repetition_3", "hamming_7_4")
 CLASSIFIER_ROLE = "baseline_classifier"
@@ -268,19 +268,8 @@ def baseline_evaluate(
     n_trials: int = 3,
 ) -> tuple[float, float, float]:
     """Pipeline accuracy under the channel with a 95% Wilson interval."""
-    if len(test_set) == 0:
-        raise ValueError("test set is empty")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
     shape = (test_set.height, test_set.width)
-    trial_seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
-    correct = 0
-    total = 0
-    for seed in trial_seeds:
-        trial_rng = np.random.default_rng(int(seed))
-        recon = transmit_images(trial_rng, cfg, p, test_set.images, shape)
-        pred = classifier.predict_proba(recon).argmax(axis=1)
-        correct += int((pred == test_set.labels).sum())
-        total += len(test_set)
-    lo, hi = wilson_interval(correct, total)
-    return correct / total, lo, hi
+    return trial_accuracy(
+        rng, test_set, n_trials,
+        lambda trial_rng, images: classifier.predict_proba(
+            transmit_images(trial_rng, cfg, p, images, shape)).argmax(axis=1))

@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,82 @@ class UsageError(ValueError):
     """Bad flags, unknown scenarios, or mismatched artifacts."""
 
 
+@dataclass(frozen=True)
+class Count:
+    """Flag type of an integer count that must be at least ``minimum``."""
+
+    minimum: int = 1
+
+    def __call__(self, value) -> int:
+        number = int(value)
+        if number < self.minimum:
+            raise UsageError(f"must be at least {self.minimum}, got {number}")
+        return number
+
+
+COUNT = Count()
+# both trainers hold one row out to validate, so they need two rows
+TRAINABLE = Count(2)
+
+# (name, type, default, help) of each command's flags; ``--n-m`` sets ``n_m``.
+# A flag given explicitly wins over a --config value, which wins over the default.
+SCENARIO = ("scenario", str, "scenario1", "scenario1 | scenario2 | path to a key = value file")
+N_M = ("n_m", int, None, "molecule budget (default: the scenario's)")
+SIGMA_N = ("sigma_n", float, None, "count noise standard deviation (default: the scenario's)")
+COMMON = (("seed", int, 0, "master seed"), ("out", str, "runs", "output directory"))
+FLAGS = {
+    "validate-physics": (
+        SCENARIO,
+        ("particles", int, 100_000, "particles in the oracle"),
+        ("times", str, None, "comma-separated probe times in s (default: the scenario's)"),
+    ),
+    "sim-sir": (
+        ("scenario", str, "both", "scenario name, config path, or 'both'"),
+        ("dt", float, 0.01, "trace step in s"),
+        ("symbols", COUNT, 5, "'1' symbols in the frame"),
+        SIGMA_N,
+        N_M,
+    ),
+    "gen-data": (
+        ("train_count", COUNT, 4000, "training images"),
+        ("test_count", COUNT, 1000, "test images"),
+    ),
+    "fit-channel": (
+        SCENARIO,
+        N_M,
+        SIGMA_N,
+        ("pairs", TRAINABLE, surrogate.FIT_CONFIG.n_pairs, "channel pairs to fit on"),
+        ("epochs", COUNT, surrogate.FIT_CONFIG.epochs, "maximum epochs"),
+        ("export_pairs", bool, False, "also write the pairs to pairs.csv"),
+    ),
+    "train": (
+        ("data", str, None, "directory holding train.ds"),
+        ("surrogate", str, None, "channel surrogate checkpoint"),
+        ("epochs", COUNT, transceiver.TRAIN_CONFIG.epochs, "maximum epochs"),
+        ("batch", COUNT, transceiver.TRAIN_CONFIG.batch_size, "images per batch"),
+        ("lr", float, transceiver.TRAIN_CONFIG.lr, "learning rate"),
+    ),
+    "eval": (
+        ("model", str, None, "semantic model checkpoint"),
+        ("data", str, None, "directory holding test.ds"),
+        SCENARIO,
+        N_M,
+        SIGMA_N,
+        ("trials", COUNT, 3, "channel noise draws per test image"),
+    ),
+    "sweep": (
+        ("data", str, None, "directory holding train.ds and test.ds"),
+        SCENARIO,
+        ("n_m_list", str, "100,300,600,1000,1500,2000,4000,20000",
+         "comma-separated molecule budgets"),
+        SIGMA_N,
+        ("pairs", TRAINABLE, 12_000, "channel pairs per surrogate fit"),
+        ("epochs", COUNT, 25, "maximum training epochs per budget"),
+        ("trials", COUNT, 3, "channel noise draws per test image"),
+    ),
+}
+
+
 @contextmanager
 def _resolving():
     """Scope in which flags, config and input artifacts are resolved.
@@ -59,39 +135,34 @@ def _resolving():
         raise UsageError(str(err)) from err
 
 
-def _resolve(args, key, fallback):
-    """Explicit flag > --config value > built-in default."""
-    attr = key.replace("-", "_")
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    for spelling in (attr, key):
-        if args._config_params and spelling in args._config_params:
-            return args._config_params[spelling]
-    return fallback
+def _resolve_flags(args) -> tuple[dict, int]:
+    """The command's parameters (with ``out``, created here) and the seed.
 
-
-def _load_config(args) -> None:
-    """Config values from a plain JSON object or a prior run's manifest.
-
-    A manifest keeps the seed beside its params; it is merged back in so
-    that the replay draws the same randomness (an explicit --seed still wins).
+    ``--config`` holds a plain JSON object or a prior run's manifest. A
+    manifest keeps the seed beside its params; it is merged back in so
+    that the replay draws the same randomness.
     """
-    args._config_params = {}
-    if getattr(args, "config", None):
+    config = {}
+    if args.config:
         blob = json.loads(Path(args.config).read_text())
-        params = dict(blob.get("params", blob))
+        config = dict(blob.get("params", blob))
         if "params" in blob and "seed" in blob:
-            params.setdefault("seed", blob["seed"])
-        args._config_params = params
+            config.setdefault("seed", blob["seed"])
 
+    def resolve(name, kind, default, _help):
+        flag = name.replace("_", "-")
+        value = next((v for v in (getattr(args, name), config.get(name), config.get(flag),
+                                  default) if v is not None), None)
+        try:
+            return None if value is None else kind(value)
+        except (TypeError, ValueError) as err:
+            raise UsageError(f"--{flag}: {err}") from err
 
-def _require_positive(params: dict, *keys: str) -> None:
-    """Reject a count flag below 1 before any work starts."""
-    for key in keys:
-        if params[key] < 1:
-            flag = key.replace("_", "-")
-            raise UsageError(f"--{flag} must be at least 1, got {params[key]}")
+    seed, out = (resolve(*row) for row in COMMON)
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)     # before the flags: a rejected run leaves it empty
+    params = {row[0]: resolve(*row) for row in FLAGS[args.command]}
+    return {**params, "out": str(out)}, seed
 
 
 def _write_history(path: Path, history: dict) -> None:
@@ -101,35 +172,60 @@ def _write_history(path: Path, history: dict) -> None:
     runio.write_csv(path, ["epoch", *keys], rows)
 
 
-def _out_dir(args) -> Path:
-    out = Path(_resolve(args, "out", "runs"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _channel_params(args, params: dict) -> channel.ChannelParams:
+def _channel_params(params: dict) -> channel.ChannelParams:
     p = channel.load_params(params["scenario"])
     if params.get("n_m") is not None:
-        p = channel.with_overrides(p, max_molecules=int(params["n_m"]))
+        p = channel.with_overrides(p, max_molecules=params["n_m"])
     if params.get("sigma_n") is not None:
-        p = channel.with_overrides(p, noise_std=float(params["sigma_n"]))
+        p = channel.with_overrides(p, noise_std=params["sigma_n"])
     return p
 
 
-def cmd_validate_physics(args) -> int:
+def _dataset(path: Path, training: bool = False) -> dataset.Dataset:
+    """A dataset container; a training set needs two images, as training holds one out."""
+    if not path.exists():
+        raise UsageError(f"missing dataset: {path}")
+    data = dataset.load_dataset(path)
+    if training and len(data) < TRAINABLE.minimum:
+        raise UsageError(f"{path} holds {len(data)} image(s); training holds one out to "
+                         f"validate, so it needs at least {TRAINABLE.minimum}")
+    return data
+
+
+def sweep(seed, train_set, test_set, links, n_pairs, epochs, trials):
+    """Semantic and baseline accuracy at each molecule budget, in the order of ``links``.
+
+    Trains the baseline classifier, then for each ``(n_m, channel params)``
+    link fits a surrogate on ``n_pairs`` pairs, trains the semantic model
+    through it for at most ``epochs`` epochs and evaluates both methods over
+    ``trials`` noise draws. Yields ``(n_m, semantic, baseline)``, each an
+    ``(accuracy, ci_low, ci_high)``. The acceptance gate runs this loop
+    too; the streams carry the labels its recorded figures were drawn with.
+    """
+    codec = baseline.CodecConfig()
+    classifier = baseline.train_baseline_classifier(
+        runio.derive_rng(seed, "acceptance", "classifier"), codec, train_set)
+    for n_m, p in links:
+        def rng(stage):
+            return runio.derive_rng(seed, "acceptance", stage, n_m)
+
+        surr, _ = surrogate.fit_channel(
+            rng("fit"), p, replace(surrogate.FIT_CONFIG, n_pairs=n_pairs))
+        model, _ = transceiver.train_end_to_end(
+            rng("train"), train_set, surr, replace(transceiver.TRAIN_CONFIG, epochs=epochs))
+        yield (n_m,
+               transceiver.evaluate_accuracy(rng("eval"), model, p, test_set, n_trials=trials),
+               baseline.baseline_evaluate(rng("base"), codec, p, test_set, classifier,
+                                          n_trials=trials))
+
+
+def cmd_validate_physics(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "scenario": _resolve(args, "scenario", "scenario1"),
-            "particles": int(_resolve(args, "particles", 100_000)),
-            "times": _resolve(args, "times", None),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        p = _channel_params(args, params)
+        p = _channel_params(params)
         cfg = particle.default_sim_config(params["scenario"], n_particles=params["particles"],
                                           seed=seed)
         if params["times"] is not None:
-            times = tuple(float(t) for t in str(params["times"]).split(","))
+            times = tuple(float(t) for t in params["times"].split(","))
             cfg = replace(cfg, record_times=times)
 
     curve = particle.empirical_capture_curve(cfg, p)
@@ -153,20 +249,10 @@ def cmd_validate_physics(args) -> int:
     return EXIT_OK
 
 
-def cmd_sim_sir(args) -> int:
+def cmd_sim_sir(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "scenario": _resolve(args, "scenario", "both"),
-            "dt": float(_resolve(args, "dt", 0.01)),
-            "symbols": int(_resolve(args, "symbols", 5)),
-            "sigma_n": _resolve(args, "sigma_n", None),
-            "n_m": _resolve(args, "n_m", None),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "symbols")
         names = channel.scenario_names() if params["scenario"] == "both" else (params["scenario"],)
-        links = [(name, _channel_params(args, {**params, "scenario": name})) for name in names]
+        links = [(name, _channel_params({**params, "scenario": name})) for name in names]
         for _, p in links:
             if not 0 < params["dt"] < p.slot_s:
                 raise UsageError(f"dt must lie in (0, slot_s={p.slot_s}); got {params['dt']}")
@@ -183,15 +269,7 @@ def cmd_sim_sir(args) -> int:
     return EXIT_OK
 
 
-def cmd_gen_data(args) -> int:
-    with _resolving():
-        params = {
-            "train_count": int(_resolve(args, "train_count", 4000)),
-            "test_count": int(_resolve(args, "test_count", 1000)),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "train_count", "test_count")
+def cmd_gen_data(params: dict, seed: int) -> int:
     out = Path(params["out"])
     train = dataset.make_dataset(runio.derive_rng(seed, "dataset", "train"), params["train_count"])
     test = dataset.make_dataset(runio.derive_rng(seed, "dataset", "test"), params["test_count"])
@@ -202,20 +280,9 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def cmd_fit_channel(args) -> int:
+def cmd_fit_channel(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "scenario": _resolve(args, "scenario", "scenario1"),
-            "n_m": _resolve(args, "n_m", None),
-            "sigma_n": _resolve(args, "sigma_n", None),
-            "pairs": int(_resolve(args, "pairs", 50_000)),
-            "epochs": int(_resolve(args, "epochs", 150)),
-            "export_pairs": bool(_resolve(args, "export_pairs", False)),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "pairs", "epochs")
-        p = _channel_params(args, params)
+        p = _channel_params(params)
         cfg = replace(surrogate.FIT_CONFIG, n_pairs=params["pairs"], epochs=params["epochs"])
     out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
@@ -240,25 +307,13 @@ def cmd_fit_channel(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "data": _resolve(args, "data", None),
-            "surrogate": _resolve(args, "surrogate", None),
-            "epochs": int(_resolve(args, "epochs", 40)),
-            "batch": int(_resolve(args, "batch", 64)),
-            "lr": float(_resolve(args, "lr", 2e-2)),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "epochs", "batch")
         if not params["data"] or not params["surrogate"]:
             raise UsageError("train requires --data <dir from gen-data> and --surrogate <ckpt>")
         train_path = Path(params["data"]) / "train.ds"
-        if not train_path.exists():
-            raise UsageError(f"missing dataset: {train_path}")
+        train_set = _dataset(train_path, training=True)
         surr = surrogate.ChannelSurrogate.load(params["surrogate"])
-        train_set = dataset.load_dataset(train_path)
         cfg = replace(transceiver.TRAIN_CONFIG, epochs=params["epochs"],
                       batch_size=params["batch"], lr=params["lr"])
     out = Path(params["out"])
@@ -272,7 +327,7 @@ def cmd_train(args) -> int:
     ckpt = out / "semantic.ckpt"
     model.save(ckpt)
     inputs = {str(train_path): runio.sha256_file(train_path),
-              str(params["surrogate"]): runio.sha256_file(params["surrogate"])}
+              params["surrogate"]: runio.sha256_file(params["surrogate"])}
     runio.write_manifest(out, "train", params, seed, inputs=inputs,
                          outputs=[ckpt.name, "train_history.csv"])
     kept = history["val_loss"].index(min(history["val_loss"]))
@@ -282,27 +337,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "model": _resolve(args, "model", None),
-            "data": _resolve(args, "data", None),
-            "scenario": _resolve(args, "scenario", "scenario1"),
-            "n_m": _resolve(args, "n_m", None),
-            "sigma_n": _resolve(args, "sigma_n", None),
-            "trials": int(_resolve(args, "trials", 3)),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "trials")
         if not params["model"] or not params["data"]:
             raise UsageError("eval requires --model <semantic ckpt> and --data <dir>")
         test_path = Path(params["data"]) / "test.ds"
-        if not test_path.exists():
-            raise UsageError(f"missing dataset: {test_path}")
+        test_set = _dataset(test_path)
         model = transceiver.SemanticModel.load(params["model"])
-        p = _channel_params(args, params)
-        test_set = dataset.load_dataset(test_path)
+        p = _channel_params(params)
         shape = (test_set.height, test_set.width, test_set.channels)
         if shape != model.image_shape:
             raise UsageError(f"{test_path} holds {shape} images; the model expects "
@@ -314,61 +356,30 @@ def cmd_eval(args) -> int:
                     ["n_m", "method", "accuracy", "ci_low", "ci_high"],
                     [(p.max_molecules, "semantic", acc, lo, hi)])
     inputs = {str(test_path): runio.sha256_file(test_path),
-              str(params["model"]): runio.sha256_file(params["model"])}
+              params["model"]: runio.sha256_file(params["model"])}
     runio.write_manifest(out, "eval", params, seed, inputs=inputs, outputs=["metrics.csv"])
     print(f"semantic accuracy at n_m={p.max_molecules}: {acc:.3f} [{lo:.3f}, {hi:.3f}]")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(params: dict, seed: int) -> int:
     with _resolving():
-        params = {
-            "data": _resolve(args, "data", None),
-            "scenario": _resolve(args, "scenario", "scenario1"),
-            "n_m_list": _resolve(args, "n_m_list", "100,300,600,1000,1500,2000,4000,20000"),
-            "sigma_n": _resolve(args, "sigma_n", None),
-            "pairs": int(_resolve(args, "pairs", 12_000)),
-            "epochs": int(_resolve(args, "epochs", 25)),
-            "trials": int(_resolve(args, "trials", 3)),
-            "out": str(_out_dir(args)),
-        }
-        seed = int(_resolve(args, "seed", 0))
-        _require_positive(params, "pairs", "epochs", "trials")
         if not params["data"]:
             raise UsageError("sweep requires --data <dir from gen-data>")
         data_dir = Path(params["data"])
         train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
-        for path in (train_path, test_path):
-            if not path.exists():
-                raise UsageError(f"missing dataset: {path}")
-        train_set = dataset.load_dataset(train_path)
-        test_set = dataset.load_dataset(test_path)
-        budgets = [int(float(x)) for x in str(params["n_m_list"]).split(",")]
-        links = [(n_m, _channel_params(args, {**params, "n_m": n_m})) for n_m in budgets]
-
-    codec = baseline.CodecConfig()
-    classifier = baseline.train_baseline_classifier(
-        runio.derive_rng(seed, "baseline", "classifier"), codec, train_set)
+        train_set = _dataset(train_path, training=True)
+        test_set = _dataset(test_path)
+        budgets = [int(float(x)) for x in params["n_m_list"].split(",")]
+        links = [(n_m, _channel_params({**params, "n_m": n_m})) for n_m in budgets]
 
     rows = []
-    out = Path(params["out"])
-    for n_m, p in links:
-        fit_rng = runio.derive_rng(seed, "sweep", n_m, "fit")
-        surr, _ = surrogate.fit_channel(
-            fit_rng, p, replace(surrogate.FIT_CONFIG, n_pairs=params["pairs"]))
-        model, _ = transceiver.train_end_to_end(
-            runio.derive_rng(seed, "sweep", n_m, "train"), train_set, surr,
-            replace(transceiver.TRAIN_CONFIG, epochs=params["epochs"]))
-        acc, lo, hi = transceiver.evaluate_accuracy(
-            runio.derive_rng(seed, "sweep", n_m, "eval"), model, p, test_set,
-            n_trials=params["trials"])
-        rows.append((n_m, "semantic", acc, lo, hi))
-        bacc, blo, bhi = baseline.baseline_evaluate(
-            runio.derive_rng(seed, "sweep", n_m, "baseline"), codec, p, test_set,
-            classifier, n_trials=params["trials"])
-        rows.append((n_m, "baseline", bacc, blo, bhi))
+    for n_m, (acc, lo, hi), (bacc, blo, bhi) in sweep(
+            seed, train_set, test_set, links, params["pairs"], params["epochs"], params["trials"]):
+        rows += [(n_m, "semantic", acc, lo, hi), (n_m, "baseline", bacc, blo, bhi)]
         print(f"n_m={n_m}: semantic {acc:.3f} [{lo:.3f},{hi:.3f}]  "
               f"baseline {bacc:.3f} [{blo:.3f},{bhi:.3f}]")
+    out = Path(params["out"])
     runio.write_csv(out / "sweep.csv",
                     ["n_m", "method", "accuracy", "ci_low", "ci_high"], rows)
     inputs = {str(train_path): runio.sha256_file(train_path),
@@ -378,13 +389,13 @@ def cmd_sweep(args) -> int:
 
 
 COMMANDS = {
-    "validate-physics": cmd_validate_physics,
-    "sim-sir": cmd_sim_sir,
-    "gen-data": cmd_gen_data,
-    "fit-channel": cmd_fit_channel,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
+    "validate-physics": (cmd_validate_physics, "particle oracle vs capture formula"),
+    "sim-sir": (cmd_sim_sir, "deterministic SIR traces for an all-ones frame"),
+    "gen-data": (cmd_gen_data, "generate the toy shape dataset"),
+    "fit-channel": (cmd_fit_channel, "fit the Gaussian-mixture channel surrogate"),
+    "train": (cmd_train, "train the semantic transceiver through a frozen surrogate"),
+    "eval": (cmd_eval, "evaluate a semantic model through the real channel"),
+    "sweep": (cmd_sweep, "accuracy vs molecule budget for both methods"),
 }
 
 
@@ -397,77 +408,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mclink {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--seed", type=int, help="master seed (default 0)")
-        sp.add_argument("--out", help="output directory (default ./runs)")
+    for command, (_, summary) in COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("--config", help="JSON file or prior manifest supplying parameters")
-
-    sp = sub.add_parser("validate-physics", help="particle oracle vs capture formula")
-    common(sp)
-    sp.add_argument("--scenario", help="scenario1 | scenario2 | path to key=value file")
-    sp.add_argument("--particles", type=int)
-    sp.add_argument("--times", help="comma-separated probe times (s)")
-
-    sp = sub.add_parser("sim-sir", help="deterministic SIR traces for an all-ones frame")
-    common(sp)
-    sp.add_argument("--scenario", help="scenario name, config path, or 'both'")
-    sp.add_argument("--dt", type=float)
-    sp.add_argument("--symbols", type=int)
-    sp.add_argument("--sigma-n", type=float)
-    sp.add_argument("--n-m", type=int)
-
-    sp = sub.add_parser("gen-data", help="generate the toy shape dataset")
-    common(sp)
-    sp.add_argument("--train-count", type=int)
-    sp.add_argument("--test-count", type=int)
-
-    sp = sub.add_parser("fit-channel", help="fit the Gaussian-mixture channel surrogate")
-    common(sp)
-    sp.add_argument("--scenario")
-    sp.add_argument("--n-m", type=int)
-    sp.add_argument("--sigma-n", type=float)
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--export-pairs", action="store_const", const=True)
-
-    sp = sub.add_parser("train", help="train the semantic transceiver through a frozen surrogate")
-    common(sp)
-    sp.add_argument("--data", help="directory holding train.ds")
-    sp.add_argument("--surrogate", help="channel surrogate checkpoint")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch", type=int)
-    sp.add_argument("--lr", type=float)
-
-    sp = sub.add_parser("eval", help="evaluate a semantic model through the real channel")
-    common(sp)
-    sp.add_argument("--model", help="semantic model checkpoint")
-    sp.add_argument("--data", help="directory holding test.ds")
-    sp.add_argument("--scenario")
-    sp.add_argument("--n-m", type=int)
-    sp.add_argument("--sigma-n", type=float)
-    sp.add_argument("--trials", type=int)
-
-    sp = sub.add_parser("sweep", help="accuracy vs molecule budget for both methods")
-    common(sp)
-    sp.add_argument("--data")
-    sp.add_argument("--scenario")
-    sp.add_argument("--n-m-list", help="comma-separated molecule budgets")
-    sp.add_argument("--sigma-n", type=float)
-    sp.add_argument("--pairs", type=int)
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--trials", type=int)
-
+        # values stay strings here: resolution converts them, whatever their source
+        for name, kind, default, text in COMMON + FLAGS[command]:
+            shown = text if default is None else f"{text} (default {default})"
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                sp.add_argument(flag, action="store_const", const=True, help=shown)
+            else:
+                sp.add_argument(flag, help=shown)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with _resolving():
-            _load_config(args)
-        return COMMANDS[args.command](args)
+            params, seed = _resolve_flags(args)
+        return COMMANDS[args.command][0](params, seed)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -565,11 +565,14 @@ def train(rng: np.random.Generator, params, n_rows: int,
     ``cfg.plateau_window`` epochs (Prechelt, *Early Stopping -- But When?*,
     1998). Without ``validate`` every epoch runs and the last parameters stay.
 
-    Returns ``history``: per-epoch ``train_<loss_name>`` (row-weighted)
-    and ``val_<loss_name>``, and ``stop``, one of 'plateau', 'max_epochs'
-    or 'diverged'. A non-finite loss restores the best parameters and
-    raises TrainingDivergedError with the history so far.
+    ``n_rows`` must be at least 1. Returns ``history``: per-epoch
+    ``train_<loss_name>`` (row-weighted) and ``val_<loss_name>``, and
+    ``stop``, one of 'plateau', 'max_epochs' or 'diverged'. A non-finite
+    loss restores the best parameters and raises TrainingDivergedError
+    with the history so far.
     """
+    if n_rows < 1:
+        raise ValueError("no training rows")
     params = list(params)
     history = {} if history is None else history
     train_values = history.setdefault(f"train_{loss_name}", [])

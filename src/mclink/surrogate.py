@@ -159,23 +159,18 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
 
 def sample_surrogate(
     rng: np.random.Generator | None,
-    mp,
+    mixture: tuple[Tensor, Tensor, Tensor],
     frozen_noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Reparameterized draw from a mixture, one sample per row.
 
-    ``mp`` is either a numeric MixtureParams or a (pi, mu, sigma2) tuple of
-    graph tensors. The component index is drawn from pi and treated as a
-    constant; gradients flow through the selected mean and variance only.
+    ``mixture`` is a (pi, mu, sigma2) tuple of (rows, h) graph tensors.
+    The component index is drawn from pi and treated as a constant;
+    gradients flow through the selected mean and variance only.
     ``frozen_noise`` = (component index, standard-normal eps) replays fixed
     draws, e.g. for finite-difference checks.
     """
-    if isinstance(mp, MixtureParams):
-        pi_t = Tensor(np.atleast_2d(mp.pi))
-        mu_t = Tensor(np.atleast_2d(mp.mu))
-        s2_t = Tensor(np.atleast_2d(mp.sigma2))
-    else:
-        pi_t, mu_t, s2_t = mp
+    pi_t, mu_t, s2_t = mixture
     n = pi_t.data.shape[0]
     if frozen_noise is None:
         if rng is None:

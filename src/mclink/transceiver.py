@@ -16,6 +16,7 @@ predecessor), with a silent slot before the frame.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,6 +233,30 @@ def train_end_to_end(
     return model, history
 
 
+def trial_accuracy(
+    rng: np.random.Generator,
+    test_set: Dataset,
+    n_trials: int,
+    predict: Callable[[np.random.Generator, np.ndarray], np.ndarray],
+) -> tuple[float, float, float]:
+    """Pooled accuracy of ``predict(trial_rng, images)`` over noise trials.
+
+    Each trial hands ``predict`` an independent per-trial stream for the
+    whole test set; the pooled correct count gives a 95% binomial (Wilson)
+    interval.
+    """
+    if len(test_set) == 0:
+        raise ValueError("test set is empty")
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    trial_seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
+    correct = sum(int((predict(np.random.default_rng(int(seed)), test_set.images)
+                       == test_set.labels).sum()) for seed in trial_seeds)
+    total = n_trials * len(test_set)
+    lo, hi = wilson_interval(correct, total)
+    return correct / total, lo, hi
+
+
 def evaluate_accuracy(
     rng: np.random.Generator,
     model: SemanticModel,
@@ -239,23 +264,8 @@ def evaluate_accuracy(
     test_set: Dataset,
     n_trials: int = 3,
 ) -> tuple[float, float, float]:
-    """Fraction correct through the real channel, averaged over noise draws.
-
-    Each trial re-samples every test frame's channel noise from an
-    independent per-trial stream; the pooled correct count gives a 95%
-    binomial (Wilson) interval.
-    """
-    if len(test_set) == 0:
-        raise ValueError("test set is empty")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    trial_seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
-    correct = 0
-    total = 0
-    for seed in trial_seeds:
-        trial_rng = np.random.default_rng(int(seed))
-        y = transmit_eval(trial_rng, model, p, test_set.images)
-        correct += int((y.argmax(axis=1) == test_set.labels).sum())
-        total += len(test_set)
-    lo, hi = wilson_interval(correct, total)
-    return correct / total, lo, hi
+    """Fraction correct through the real channel, averaged over noise draws,
+    with a 95% Wilson interval (see :func:`trial_accuracy`)."""
+    return trial_accuracy(
+        rng, test_set, n_trials,
+        lambda trial_rng, images: transmit_eval(trial_rng, model, p, images).argmax(axis=1))

@@ -17,17 +17,11 @@ reported with its measured deviation.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mclink import nn
-from mclink.baseline import (
-    CodecConfig,
-    baseline_evaluate,
-    train_baseline_classifier,
-)
 from mclink.channel import (
     capture_probability,
     count_moments,
@@ -37,7 +31,7 @@ from mclink.channel import (
     sir_trace,
     with_overrides,
 )
-from mclink.cli import EXIT_OK, main as cli_main
+from mclink.cli import EXIT_OK, main as cli_main, sweep
 from mclink.dataset import make_dataset, one_hot
 from mclink.nn import DenseNet, Tensor, gradient_check
 from mclink.particle import ParticleSimConfig, empirical_capture_curve
@@ -53,9 +47,6 @@ from mclink.surrogate import (
 )
 from mclink.transceiver import (
     SemanticModel,
-    TRAIN_CONFIG,
-    evaluate_accuracy,
-    train_end_to_end,
     transmit_train,
 )
 
@@ -91,24 +82,13 @@ def full_surrogate():
 
 @pytest.fixture(scope="session")
 def sweep_results(toy_data):
-    """Semantic and baseline accuracy per molecule budget (one model each)."""
+    """Semantic and baseline accuracy per molecule budget from ``mclink sweep``'s loop."""
     train, test = toy_data
-    codec = CodecConfig()
-    classifier = train_baseline_classifier(
-        derive_rng(0, "acceptance", "classifier"), codec, train)
+    links = [(n_m, with_overrides(S1, max_molecules=n_m)) for n_m in SWEEP_BUDGETS]
     start = time.monotonic()
-    rows = {}
-    for n_m in SWEEP_BUDGETS:
-        p = with_overrides(S1, max_molecules=n_m)
-        surr, _ = fit_channel(derive_rng(0, "acceptance", "fit", n_m), p,
-                              replace(FIT_CONFIG, n_pairs=12_000))
-        model, _ = train_end_to_end(derive_rng(0, "acceptance", "train", n_m),
-                                    train, surr, replace(TRAIN_CONFIG, epochs=25))
-        sem = evaluate_accuracy(derive_rng(0, "acceptance", "eval", n_m),
-                                model, p, test, n_trials=2)
-        base = baseline_evaluate(derive_rng(0, "acceptance", "base", n_m),
-                                 codec, p, test, classifier, n_trials=2)
-        rows[n_m] = {"semantic": sem, "baseline": base}
+    rows = {n_m: {"semantic": sem, "baseline": base}
+            for n_m, sem, base in sweep(0, train, test, links, n_pairs=12_000, epochs=25,
+                                        trials=2)}
     elapsed = time.monotonic() - start
     return rows, elapsed
 

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from mclink import baseline, surrogate, transceiver
-from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, main
+from mclink import baseline, channel, cli, surrogate, transceiver
+from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, FLAGS, main
 from mclink.dataset import load_dataset, make_dataset, save_dataset
 from mclink.nn import Tensor, load_checkpoint
 from mclink.runio import load_manifest
@@ -195,12 +195,35 @@ class TestArtifactFlow:
                     "--seed", 4, "--out", second]) == EXIT_OK
         assert load_manifest(second / "manifest.json")["seed"] == 4
 
-    def test_manifest_echoes_all_params(self, pipeline):
+    def test_manifest_echoes_all_params(self, pipeline, tmp_path):
         manifest = load_manifest(pipeline / "model" / "manifest.json")
         assert manifest["command"] == "train"
         assert manifest["seed"] == 1
-        assert set(manifest["params"]) >= {"data", "surrogate", "epochs", "batch", "lr", "out"}
         assert manifest["inputs"]           # dataset + surrogate hashes recorded
+        runs = {"gen-data": pipeline / "data", "fit-channel": pipeline / "surr",
+                "train": pipeline / "model"}
+        for command, argv in {
+            "validate-physics": FAST_PHYSICS,
+            "sim-sir": ["--dt", 0.05],
+            "eval": ["--model", pipeline / "model" / "semantic.ckpt", "--data", pipeline / "data",
+                     "--trials", 1],
+            "sweep": ["--data", pipeline / "data", "--n-m-list", 20000, "--pairs", 400,
+                      "--epochs", 1, "--trials", 1],
+        }.items():
+            runs[command] = tmp_path / command
+            assert run([command, "--out", runs[command], *argv]) == EXIT_OK
+        for command, out in runs.items():
+            params = load_manifest(out / "manifest.json")["params"]
+            assert set(params) == {row[0] for row in FLAGS[command]} | {"out"}, command
+
+    def test_help_shows_defaults(self, capsys):
+        for command, rows in FLAGS.items():
+            name, _, default, _ = next(row for row in rows if row[2] is not None)
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            flag = "--" + name.replace("_", "-")
+            assert f"(default {default})" in text.split(f" {flag} ", 1)[1].split(" --", 1)[0]
 
 
 class TestSweep:
@@ -213,6 +236,24 @@ class TestSweep:
         assert lines[0] == "n_m,method,accuracy,ci_low,ci_high"
         methods = {line.split(",")[1] for line in lines[1:]}
         assert methods == {"semantic", "baseline"}
+
+    def test_cli_writes_the_library_sweep(self, pipeline, tmp_path):
+        train = load_dataset(pipeline / "data" / "train.ds")
+        test = load_dataset(pipeline / "data" / "test.ds")
+        budgets = (20000, 300)
+        links = [(n_m, channel.with_overrides(channel.scenario("scenario1"), max_molecules=n_m))
+                 for n_m in budgets]
+        rows = list(cli.sweep(11, train, test, links, 400, 1, 1))
+        assert [n_m for n_m, _, _ in rows] == list(budgets)
+        assert rows == list(cli.sweep(11, train, test, links, 400, 1, 1))
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--seed", 11, "--out", out, "--data", pipeline / "data",
+                    "--n-m-list", "20000,300", "--pairs", 400, "--epochs", 1,
+                    "--trials", 1]) == EXIT_OK
+        written = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [(int(n_m), method, *map(float, stats)) for n_m, method, *stats in written] == [
+            (n_m, method, *stats) for n_m, sem, base in rows
+            for method, stats in (("semantic", sem), ("baseline", base))]
 
 
 class TestExitCodes:
@@ -233,12 +274,12 @@ class TestExitCodes:
         assert run(["fit-channel", "--out", tmp_path, "--n-m", 0]) == EXIT_USAGE
         assert "max_molecules" in capsys.readouterr().err
 
+    # each count flag at 0 and just below its minimum, plus two negative values
     @pytest.mark.parametrize("command, flag, value", [
-        ("sim-sir", "symbols", 0), ("fit-channel", "pairs", 0), ("train", "batch", 0),
-        ("train", "epochs", 0), ("eval", "trials", 0), ("sweep", "trials", 0),
-        ("sweep", "pairs", -1), ("fit-channel", "epochs", 0), ("sweep", "epochs", 0),
-        ("gen-data", "train-count", 0), ("gen-data", "test-count", 0),
-        ("gen-data", "train-count", -3),
+        *((command, name.replace("_", "-"), value) for command, rows in FLAGS.items()
+          for name, kind, _, _ in rows if isinstance(kind, cli.Count)
+          for value in sorted({0, kind.minimum - 1})),
+        ("gen-data", "train-count", -3), ("sweep", "pairs", -1),
     ])
     def test_non_positive_count_is_usage_error(self, pipeline, tmp_path, capsys,
                                                command, flag, value):
@@ -247,11 +288,26 @@ class TestExitCodes:
             "eval": ["--data", pipeline / "data", "--model", pipeline / "model" / "semantic.ckpt"],
             "sweep": ["--data", pipeline / "data"],
         }
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag.replace("-", "_"): value}))
+        for source in ([f"--{flag}", value], ["--config", config]):
+            out = tmp_path / source[0].lstrip("-")
+            argv = [command, *source, "--out", out, *inputs.get(command, [])]
+            assert run(argv) == EXIT_USAGE
+            assert f"--{flag}" in capsys.readouterr().err
+            assert list(out.iterdir()) == []     # rejected before any work or manifest
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_one_training_image_is_usage_error(self, pipeline, tmp_path, capsys, command):
+        # training holds one image out to validate, which leaves none to train on
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", data, "--train-count", 1, "--test-count", 4]) == EXIT_OK
         out = tmp_path / "out"
-        argv = [command, f"--{flag}", value, "--out", out, *inputs.get(command, [])]
-        assert run(argv) == EXIT_USAGE
-        assert f"--{flag}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []     # rejected before any work or manifest
+        inputs = {"train": ["--surrogate", pipeline / "surr" / "surrogate.ckpt"],
+                  "sweep": ["--n-m-list", 20000]}[command]
+        assert run([command, "--out", out, "--data", data, *inputs]) == EXIT_USAGE
+        assert "at least 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_mismatched_dataset_is_usage_error(self, pipeline, tmp_path, capsys):
         small = tmp_path / "small"

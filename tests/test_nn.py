@@ -417,6 +417,12 @@ class TestTrainLoop:
         assert history["val_loss"] == val_losses[:logged[1]]
         assert np.array_equal(self.w.data, self.validated[1])
 
+    def test_zero_training_rows_rejected(self):
+        w = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ValueError, match="no training rows"):
+            nn.train(np.random.default_rng(0), [w], 0, lambda rows: nn.tsum(w * w),
+                     nn.TrainConfig(epochs=1, batch_size=4, lr=0.1))
+
     def test_without_validation_every_epoch_runs_and_last_weights_stay(self):
         w = Tensor(np.array([1.0]), requires_grad=True)
         batches = []

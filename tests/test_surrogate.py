@@ -226,16 +226,14 @@ class TestGeneratePairs:
 
 class TestSampleSurrogate:
     def test_degenerate_mixture_returns_mean(self):
-        mp = MixtureParams(pi=[1.0, 0.0], mu=[0.42, 9.0], sigma2=[1e-6, 1.0])
+        mixture = tuple(Tensor(np.array([row])) for row in ([1.0, 0.0], [0.42, 9.0], [1e-6, 1.0]))
         rng = np.random.default_rng(0)
-        draws = np.array([sample_surrogate(rng, mp).data[0] for _ in range(50)])
+        draws = np.array([sample_surrogate(rng, mixture).data[0] for _ in range(50)])
         assert np.abs(draws - 0.42).max() < 5e-3
 
     def test_empirical_mean_matches_mixture_mean(self):
         mp = MixtureParams(pi=[0.3, 0.7], mu=[0.0, 1.0], sigma2=[0.04, 0.09])
-        batch = MixtureParams(pi=np.tile(mp.pi, (100_000, 1)),
-                              mu=np.tile(mp.mu, (100_000, 1)),
-                              sigma2=np.tile(mp.sigma2, (100_000, 1)))
+        batch = tuple(Tensor(np.tile(v, (100_000, 1))) for v in (mp.pi, mp.mu, mp.sigma2))
         draws = sample_surrogate(np.random.default_rng(1), batch).data
         se = math.sqrt(mp.variance() / 100_000)
         assert abs(draws.mean() - mp.mean()) < 3 * se
