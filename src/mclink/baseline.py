@@ -10,6 +10,11 @@ trained on clean reconstructions.
 Rate parity with the semantic system is by slot count: the default codec
 (4x downsampling at 1 bit/px, Hamming-coded) spends 28 slots per image
 against the semantic frame's 16.
+
+Each codec step (``source_encode``, ``channel_encode``, ``ook_transmit``,
+``channel_decode``, ``source_decode``) takes one image or bitstream (n,)
+or a batch (B, n) and returns the same rank, so a batch of images runs
+through the pipeline as one chain of array operations.
 """
 
 from __future__ import annotations
@@ -31,10 +36,9 @@ CLASSIFIER_ROLE = "baseline_classifier"
 _HAMMING_P = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]], dtype=np.uint8)
 _HAMMING_G = np.hstack([np.eye(4, dtype=np.uint8), _HAMMING_P])
 _HAMMING_H = np.hstack([_HAMMING_P.T, np.eye(3, dtype=np.uint8)])
-# syndrome (as little-endian integer) -> error position
-_SYNDROME_TO_POS = {
-    int(_HAMMING_H[0, j] + 2 * _HAMMING_H[1, j] + 4 * _HAMMING_H[2, j]): j for j in range(7)
-}
+# syndrome (as little-endian integer) -> the single-bit error it names; row 0 flips nothing
+_SYNDROME_FLIP = np.zeros((8, 7), dtype=np.uint8)
+_SYNDROME_FLIP[_HAMMING_H.T @ [1, 2, 4], np.arange(7)] = 1
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,12 @@ class CodecConfig:
             raise ValueError("numeric detection_threshold must be positive")
 
 
+def _batch(x, dtype) -> tuple[np.ndarray, bool]:
+    """View one (n,) array or a batch (B, n) as a batch; True when it was one."""
+    x = np.asarray(x, dtype=dtype)
+    return np.atleast_2d(x), x.ndim == 1
+
+
 def source_encode(cfg: CodecConfig, image: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Downsample by block mean and quantize to a bitstream (MSB first).
 
@@ -64,35 +74,37 @@ def source_encode(cfg: CodecConfig, image: np.ndarray, image_shape=(16, 16)) -> 
     already on the b-bit grid and off by at most half a step otherwise.
     """
     h, w = image_shape
-    img = np.asarray(image, dtype=float).reshape(h, w)
+    img, one = _batch(image, float)
+    img = img.reshape(len(img), h, w)
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("pixel values must lie in [0, 1]")
     ds = cfg.downsample_factor
     if h % ds or w % ds:
         raise ValueError(f"image dims {h}x{w} not divisible by downsample factor {ds}")
-    small = img.reshape(h // ds, ds, w // ds, ds).mean(axis=(1, 3))
-    levels = (1 << cfg.bits_per_pixel) - 1
-    q = np.round(small * levels).astype(np.int64).reshape(-1)
-    bits = np.empty(q.size * cfg.bits_per_pixel, dtype=np.uint8)
-    for i in range(cfg.bits_per_pixel):
-        bits[i::cfg.bits_per_pixel] = (q >> (cfg.bits_per_pixel - 1 - i)) & 1
-    return bits
+    small = img.reshape(len(img), h // ds, ds, w // ds, ds).mean(axis=(2, 4))
+    bpp = cfg.bits_per_pixel
+    q = np.round(small * ((1 << bpp) - 1)).astype(np.int64).reshape(len(img), -1)
+    bits = np.empty((len(img), q.shape[1] * bpp), dtype=np.uint8)
+    for i in range(bpp):
+        bits[:, i::bpp] = (q >> (bpp - 1 - i)) & 1
+    return bits[0] if one else bits
 
 
 def source_decode(cfg: CodecConfig, bits: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
-    """Rebuild a full-resolution image from a source bitstream."""
+    """Rebuild full-resolution images from source bitstreams."""
     h, w = image_shape
     ds = cfg.downsample_factor
     n_px = (h // ds) * (w // ds)
     bpp = cfg.bits_per_pixel
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    if bits.size != n_px * bpp:
-        raise ValueError(f"expected {n_px * bpp} source bits, got {bits.size}")
-    q = np.zeros(n_px, dtype=np.int64)
+    bits, one = _batch(bits, np.uint8)
+    if bits.shape[1] != n_px * bpp:
+        raise ValueError(f"expected {n_px * bpp} source bits, got {bits.shape[1]}")
+    q = np.zeros((len(bits), n_px), dtype=np.int64)
     for i in range(bpp):
-        q = (q << 1) | bits[i::bpp]
-    small = q / float((1 << bpp) - 1)
-    return np.repeat(np.repeat(small.reshape(h // ds, w // ds), ds, axis=0), ds, axis=1).reshape(-1)
+        q = (q << 1) | bits[:, i::bpp]
+    small = (q / float((1 << bpp) - 1)).reshape(len(bits), h // ds, w // ds)
+    img = np.repeat(np.repeat(small, ds, axis=1), ds, axis=2).reshape(len(bits), -1)
+    return img[0] if one else img
 
 
 def source_bit_count(cfg: CodecConfig, image_shape=(16, 16)) -> int:
@@ -102,37 +114,36 @@ def source_bit_count(cfg: CodecConfig, image_shape=(16, 16)) -> int:
 
 
 def channel_encode(cfg: CodecConfig, bits: np.ndarray) -> np.ndarray:
-    """Protect a bitstream; Hamming input is zero-padded to whole blocks."""
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    """Protect bitstreams; Hamming input is zero-padded to whole blocks."""
+    bits, one = _batch(bits, np.uint8)
     if cfg.channel_code == "none":
-        return bits.copy()
-    if cfg.channel_code == "repetition_3":
-        return np.repeat(bits, 3)
-    pad = (-len(bits)) % 4
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    blocks = bits.reshape(-1, 4)
-    return (blocks @ _HAMMING_G % 2).astype(np.uint8).reshape(-1)
+        coded = bits.copy()
+    elif cfg.channel_code == "repetition_3":
+        coded = np.repeat(bits, 3, axis=1)
+    else:
+        bits = np.pad(bits, ((0, 0), (0, (-bits.shape[1]) % 4)))
+        coded = (bits.reshape(len(bits), -1, 4) @ _HAMMING_G % 2).astype(np.uint8)
+    coded = coded.reshape(len(bits), -1)
+    return coded[0] if one else coded
 
 
 def channel_decode(cfg: CodecConfig, bits: np.ndarray) -> np.ndarray:
-    """Decode a received bitstream; corrects one error per code block."""
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    """Decode received bitstreams; corrects one error per code block."""
+    bits, one = _batch(bits, np.uint8)
     if cfg.channel_code == "none":
-        return bits.copy()
-    if cfg.channel_code == "repetition_3":
-        if len(bits) % 3:
+        decoded = bits.copy()
+    elif cfg.channel_code == "repetition_3":
+        if bits.shape[1] % 3:
             raise ValueError("repetition-coded length must be a multiple of 3")
-        return (bits.reshape(-1, 3).sum(axis=1) >= 2).astype(np.uint8)
-    if len(bits) % 7:
-        raise ValueError("Hamming-coded length must be a multiple of 7")
-    blocks = bits.reshape(-1, 7).copy()
-    syndrome = blocks @ _HAMMING_H.T % 2
-    syn_int = syndrome[:, 0] + 2 * syndrome[:, 1] + 4 * syndrome[:, 2]
-    for row in np.nonzero(syn_int)[0]:
-        pos = _SYNDROME_TO_POS[int(syn_int[row])]
-        blocks[row, pos] ^= 1
-    return blocks[:, :4].reshape(-1)
+        decoded = (bits.reshape(len(bits), -1, 3).sum(axis=2) >= 2).astype(np.uint8)
+    else:
+        if bits.shape[1] % 7:
+            raise ValueError("Hamming-coded length must be a multiple of 7")
+        blocks = bits.reshape(len(bits), -1, 7)
+        syndrome = blocks @ _HAMMING_H.T % 2
+        blocks = blocks ^ _SYNDROME_FLIP[syndrome @ [1, 2, 4]]
+        decoded = blocks[:, :, :4].reshape(len(bits), -1)
+    return decoded[0] if one else decoded
 
 
 def coded_bit_count(cfg: CodecConfig, n_source_bits: int) -> int:
@@ -164,15 +175,13 @@ def ook_transmit(
     Accepts one stream (n,) or a batch (B, n); each stream starts after a
     silent slot and suffers ISI across its own bits.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    squeeze = bits.ndim == 1
-    frames = np.atleast_2d(bits).astype(float)
+    bits, one = _batch(bits, np.uint8)
     if t is None:
         t = p.observation_time()
-    w_rx = observe_frames(rng, p, frames, t)
+    w_rx = observe_frames(rng, p, bits.astype(float), t)
     counts = w_rx * (p.max_molecules * capture_probability(p, t))
     detected = (counts >= detection_threshold(cfg, p, t)).astype(np.uint8)
-    return detected[0] if squeeze else detected
+    return detected[0] if one else detected
 
 
 @dataclass
@@ -207,10 +216,8 @@ class BaselineClassifier:
 
 def clean_reconstructions(cfg: CodecConfig, images: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Codec round trip without a channel, for training and references."""
-    out = np.empty_like(np.atleast_2d(np.asarray(images, dtype=float)))
-    for i, img in enumerate(np.atleast_2d(images)):
-        out[i] = source_decode(cfg, source_encode(cfg, img, image_shape), image_shape)
-    return out
+    bits = source_encode(cfg, np.atleast_2d(images), image_shape)
+    return source_decode(cfg, bits, image_shape)
 
 
 CLASSIFIER_CONFIG = nn.TrainConfig(epochs=30, batch_size=64, lr=2e-2)
@@ -246,17 +253,9 @@ def transmit_images(
     image_shape=(16, 16),
 ) -> np.ndarray:
     """Full codec+channel round trip for a batch; returns reconstructions."""
-    images = np.atleast_2d(np.asarray(images, dtype=float))
-    n_source = source_bit_count(cfg, image_shape)
-    coded = np.stack([
-        channel_encode(cfg, source_encode(cfg, img, image_shape)) for img in images
-    ])
-    detected = ook_transmit(rng, p, coded, cfg)
-    recon = np.empty_like(images)
-    for i in range(len(images)):
-        decoded = channel_decode(cfg, detected[i])[:n_source]
-        recon[i] = source_decode(cfg, decoded, image_shape)
-    return recon
+    coded = channel_encode(cfg, source_encode(cfg, np.atleast_2d(images), image_shape))
+    decoded = channel_decode(cfg, ook_transmit(rng, p, coded, cfg))
+    return source_decode(cfg, decoded[:, :source_bit_count(cfg, image_shape)], image_shape)
 
 
 def baseline_evaluate(

@@ -23,8 +23,75 @@ from mclink.baseline import (
 )
 from mclink.channel import capture_probability, scenario, with_overrides
 from mclink.dataset import make_dataset
+from mclink.transceiver import trial_accuracy
 
 S1 = scenario("scenario1")
+
+
+# -- the per-image codec the batched one replaced, kept as the reference ----
+
+_H = np.array([[1, 1, 0, 1, 1, 0, 0], [1, 0, 1, 1, 0, 1, 0], [0, 1, 1, 1, 0, 0, 1]],
+              dtype=np.uint8)
+_G = np.hstack([np.eye(4, dtype=np.uint8), _H[:, :4].T])
+_SYNDROME_TO_POS = {int(_H[0, j] + 2 * _H[1, j] + 4 * _H[2, j]): j for j in range(7)}
+
+
+def ref_source_encode(cfg, image):
+    h, w = 16, 16
+    img = np.asarray(image, dtype=float).reshape(h, w)
+    ds = cfg.downsample_factor
+    small = img.reshape(h // ds, ds, w // ds, ds).mean(axis=(1, 3))
+    q = np.round(small * ((1 << cfg.bits_per_pixel) - 1)).astype(np.int64).reshape(-1)
+    bits = np.empty(q.size * cfg.bits_per_pixel, dtype=np.uint8)
+    for i in range(cfg.bits_per_pixel):
+        bits[i::cfg.bits_per_pixel] = (q >> (cfg.bits_per_pixel - 1 - i)) & 1
+    return bits
+
+
+def ref_source_decode(cfg, bits):
+    h, w = 16, 16
+    ds, bpp = cfg.downsample_factor, cfg.bits_per_pixel
+    q = np.zeros((h // ds) * (w // ds), dtype=np.int64)
+    for i in range(bpp):
+        q = (q << 1) | bits[i::bpp]
+    small = q / float((1 << bpp) - 1)
+    return np.repeat(np.repeat(small.reshape(h // ds, w // ds), ds, axis=0), ds,
+                     axis=1).reshape(-1)
+
+
+def ref_channel_encode(cfg, bits):
+    if cfg.channel_code == "none":
+        return bits.copy()
+    if cfg.channel_code == "repetition_3":
+        return np.repeat(bits, 3)
+    bits = np.concatenate([bits, np.zeros((-len(bits)) % 4, dtype=np.uint8)])
+    return (bits.reshape(-1, 4) @ _G % 2).astype(np.uint8).reshape(-1)
+
+
+def ref_channel_decode(cfg, bits):
+    if cfg.channel_code == "none":
+        return bits.copy()
+    if cfg.channel_code == "repetition_3":
+        return (bits.reshape(-1, 3).sum(axis=1) >= 2).astype(np.uint8)
+    blocks = bits.reshape(-1, 7).copy()
+    syndrome = blocks @ _H.T % 2
+    syn_int = syndrome[:, 0] + 2 * syndrome[:, 1] + 4 * syndrome[:, 2]
+    for row in np.nonzero(syn_int)[0]:
+        blocks[row, _SYNDROME_TO_POS[int(syn_int[row])]] ^= 1
+    return blocks[:, :4].reshape(-1)
+
+
+def ref_transmit_images(rng, cfg, p, images):
+    coded = np.stack([ref_channel_encode(cfg, ref_source_encode(cfg, img)) for img in images])
+    detected = ook_transmit(rng, p, coded, cfg)
+    n_source = source_bit_count(cfg)
+    return np.stack([ref_source_decode(cfg, ref_channel_decode(cfg, row)[:n_source])
+                     for row in detected])
+
+
+CODECS = [CodecConfig(downsample_factor=ds, bits_per_pixel=bpp, channel_code=code)
+          for ds, bpp, code in itertools.product(
+              (1, 2, 4, 8), (1, 3, 8), ("none", "repetition_3", "hamming_7_4"))]
 
 
 class TestCodecConfig:
@@ -152,6 +219,73 @@ class TestChannelCodes:
         assert coded_bit_count(CodecConfig(channel_code="none"), 16) == 16
 
 
+class TestBatchCodec:
+    @pytest.mark.parametrize("cfg", CODECS, ids=lambda c: (
+        f"ds{c.downsample_factor}-bpp{c.bits_per_pixel}-{c.channel_code}"))
+    def test_batch_equals_per_image_reference(self, cfg):
+        rng = np.random.default_rng(40)
+        images = np.vstack([make_dataset(rng, 12).images, rng.uniform(size=(4, 256))])
+        src = source_encode(cfg, images)
+        assert np.array_equal(src, np.stack([ref_source_encode(cfg, im) for im in images]))
+        coded = channel_encode(cfg, src)
+        assert np.array_equal(coded, np.stack([ref_channel_encode(cfg, b) for b in src]))
+        noisy = coded ^ (rng.uniform(size=coded.shape) < 0.1).astype(np.uint8)
+        decoded = channel_decode(cfg, noisy)
+        assert np.array_equal(decoded, np.stack([ref_channel_decode(cfg, b) for b in noisy]))
+        recon = source_decode(cfg, decoded[:, :src.shape[1]])
+        assert np.array_equal(recon, np.stack([ref_source_decode(cfg, b[:src.shape[1]])
+                                               for b in decoded]))
+        assert np.array_equal(clean_reconstructions(cfg, images),
+                              np.stack([ref_source_decode(cfg, ref_source_encode(cfg, im))
+                                        for im in images]))
+        # one image or bitstream in, one out
+        assert source_encode(cfg, images[0]).shape == src[0].shape
+        assert channel_encode(cfg, src[0]).shape == coded[0].shape
+        assert channel_decode(cfg, noisy[0]).shape == decoded[0].shape
+        assert source_decode(cfg, src[0]).shape == (256,)
+
+    def test_hamming_corrects_every_single_error_in_every_block(self):
+        cfg = CodecConfig(channel_code="hamming_7_4")
+        msgs = np.random.default_rng(41).integers(0, 2, size=(16, 32)).astype(np.uint8)
+        coded = channel_encode(cfg, msgs)
+        assert coded.shape == (16, 56)
+        for pos in range(7):
+            hit = coded.copy()
+            hit[:, pos::7] ^= 1
+            assert np.array_equal(channel_decode(cfg, hit), msgs)
+        mixed = coded.copy().reshape(16, 8, 7)
+        pos = np.random.default_rng(42).integers(0, 7, size=(16, 8))
+        np.put_along_axis(mixed, pos[..., None], 1 - np.take_along_axis(mixed, pos[..., None],
+                                                                         axis=2), axis=2)
+        assert np.array_equal(channel_decode(cfg, mixed.reshape(16, 56)), msgs)
+
+    def test_one_bad_pixel_in_a_batch_rejected(self):
+        images = np.full((5, 256), 0.5)
+        images[3, 17] = 1.01
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            source_encode(CodecConfig(), images)
+
+    def test_batch_length_checks(self):
+        with pytest.raises(ValueError, match="divisible"):
+            source_encode(CodecConfig(downsample_factor=3), np.zeros((4, 256)))
+        with pytest.raises(ValueError, match="multiple of 3"):
+            channel_decode(CodecConfig(channel_code="repetition_3"),
+                           np.zeros((4, 7), dtype=np.uint8))
+        with pytest.raises(ValueError, match="multiple of 7"):
+            channel_decode(CodecConfig(channel_code="hamming_7_4"),
+                           np.zeros((4, 10), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_m", [100, 4000])
+    def test_transmit_images_draws_the_reference_stream(self, n_m):
+        p = with_overrides(S1, max_molecules=n_m)
+        images = make_dataset(np.random.default_rng(43), 50).images
+        for cfg in (CodecConfig(), CodecConfig(downsample_factor=2, bits_per_pixel=3,
+                                               channel_code="repetition_3")):
+            got = transmit_images(np.random.default_rng(44), cfg, p, images)
+            want = ref_transmit_images(np.random.default_rng(44), cfg, p, images)
+            assert np.array_equal(got, want)
+
+
 class TestOok:
     def test_auto_threshold_is_half_signal_mean(self):
         cfg = CodecConfig()
@@ -226,6 +360,18 @@ class TestPipeline:
         recon = transmit_images(np.random.default_rng(35), CodecConfig(), S1,
                                 test.images[:8])
         assert set(np.unique(recon)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n_m", [100, 4000])
+    def test_evaluate_draws_the_reference_stream(self, toy_sets, classifier, n_m):
+        _, test = toy_sets
+        cfg, p = CodecConfig(), with_overrides(S1, max_molecules=n_m)
+        got = baseline_evaluate(np.random.default_rng(37), cfg, p, test, classifier,
+                                n_trials=2)
+        want = trial_accuracy(
+            np.random.default_rng(37), test, 2,
+            lambda rng, images: classifier.predict_proba(
+                ref_transmit_images(rng, cfg, p, images)).argmax(axis=1))
+        assert got == want
 
     def test_classifier_checkpoint_roundtrip(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"

@@ -41,7 +41,7 @@ class TestValidatePhysics:
                     "--out", tmp_path, *FAST_PHYSICS])
         assert code == EXIT_OK
         csv = (tmp_path / "capture_scenario1.csv").read_text().splitlines()
-        assert csv[0] == "t_s,p_empirical,p_analytic,rel_err"
+        assert csv[0] == "t_s,p_empirical,p_analytic,rel_err,p_exact"
         assert len(csv) == 3
         for line in csv[1:]:
             assert float(line.split(",")[3]) <= 0.15

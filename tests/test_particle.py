@@ -11,33 +11,13 @@ from mclink.particle import (
     default_sim_config,
     displacement_moments,
     empirical_capture_curve,
+    exact_presence,
     simulate_presence,
     write_capture_csv,
 )
 
 S1 = scenario("scenario1")
 S2 = scenario("scenario2")
-
-
-def exact_presence(p, t, n_grid=200_001) -> float:
-    """Exact probability that N(v t e_x, 2 D t I3) lies in the receiver sphere.
-
-    Independent 1-D quadrature of the radial density of the offset from the
-    sphere center; the dynamics' marginal at time t is exactly this Gaussian,
-    so this is the ground truth the particle oracle must reproduce even where
-    the point-concentration formula does not.
-    """
-    s = math.sqrt(2.0 * p.diffusion_um2_s * t)
-    d = abs(p.distance_um - p.velocity_um_s * t)
-    r = p.radius_um
-    u = np.linspace(0.0, r, n_grid)
-    if d < 1e-12:
-        pdf = math.sqrt(2.0 / math.pi) * u * u / s ** 3 * np.exp(-u * u / (2 * s * s))
-    else:
-        pdf = u / (s * d * math.sqrt(2.0 * math.pi)) * (
-            np.exp(-((u - d) ** 2) / (2 * s * s)) - np.exp(-((u + d) ** 2) / (2 * s * s)))
-        pdf[0] = 0.0
-    return float(np.trapezoid(pdf, u))
 
 
 class TestConfig:
@@ -161,5 +141,8 @@ class TestCurve:
         write_capture_csv(p1, curve, cfg, S1)
         write_capture_csv(p2, empirical_capture_curve(cfg, S1), cfg, S1)
         assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text().splitlines()[0] == "t_s,p_empirical,p_analytic,rel_err"
+        lines = p1.read_text().splitlines()
+        assert lines[0] == "t_s,p_empirical,p_analytic,rel_err,p_exact"
+        assert [float(line.split(",")[4]) for line in lines[1:]] == [
+            exact_presence(S1, t) for t, *_ in curve]
         assert (tmp_path / "a.csv.meta.json").exists()
