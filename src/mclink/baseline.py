@@ -14,7 +14,10 @@ against the semantic frame's 16.
 Each codec step (``source_encode``, ``channel_encode``, ``ook_transmit``,
 ``channel_decode``, ``source_decode``) takes one image or bitstream (n,)
 or a batch (B, n) and returns the same rank, so a batch of images runs
-through the pipeline as one chain of array operations.
+through the pipeline as one chain of array operations. The transmit side
+draws no randomness, so an evaluation source- and channel-codes the test
+set once; each noise trial then draws only the OOK channel and runs only
+the receiver.
 """
 
 from __future__ import annotations
@@ -67,21 +70,27 @@ def _batch(x, dtype) -> tuple[np.ndarray, bool]:
     return np.atleast_2d(x), x.ndim == 1
 
 
+def _source_grid(cfg: CodecConfig, image_shape) -> tuple[int, int]:
+    """Rows and columns of the downsampled image; the factor must divide both dims."""
+    h, w = image_shape
+    ds = cfg.downsample_factor
+    if h % ds or w % ds:
+        raise ValueError(f"image dims {h}x{w} not divisible by downsample factor {ds}")
+    return h // ds, w // ds
+
+
 def source_encode(cfg: CodecConfig, image: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Downsample by block mean and quantize to a bitstream (MSB first).
 
     Levels are q = round(x * (2^b - 1)), so the codec is exact on inputs
     already on the b-bit grid and off by at most half a step otherwise.
     """
-    h, w = image_shape
+    rows, cols = _source_grid(cfg, image_shape)
     img, one = _batch(image, float)
-    img = img.reshape(len(img), h, w)
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("pixel values must lie in [0, 1]")
     ds = cfg.downsample_factor
-    if h % ds or w % ds:
-        raise ValueError(f"image dims {h}x{w} not divisible by downsample factor {ds}")
-    small = img.reshape(len(img), h // ds, ds, w // ds, ds).mean(axis=(2, 4))
+    small = img.reshape(len(img), rows, ds, cols, ds).mean(axis=(2, 4))
     bpp = cfg.bits_per_pixel
     q = np.round(small * ((1 << bpp) - 1)).astype(np.int64).reshape(len(img), -1)
     bits = np.empty((len(img), q.shape[1] * bpp), dtype=np.uint8)
@@ -92,9 +101,9 @@ def source_encode(cfg: CodecConfig, image: np.ndarray, image_shape=(16, 16)) -> 
 
 def source_decode(cfg: CodecConfig, bits: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Rebuild full-resolution images from source bitstreams."""
-    h, w = image_shape
+    rows, cols = _source_grid(cfg, image_shape)
     ds = cfg.downsample_factor
-    n_px = (h // ds) * (w // ds)
+    n_px = rows * cols
     bpp = cfg.bits_per_pixel
     bits, one = _batch(bits, np.uint8)
     if bits.shape[1] != n_px * bpp:
@@ -102,15 +111,14 @@ def source_decode(cfg: CodecConfig, bits: np.ndarray, image_shape=(16, 16)) -> n
     q = np.zeros((len(bits), n_px), dtype=np.int64)
     for i in range(bpp):
         q = (q << 1) | bits[:, i::bpp]
-    small = (q / float((1 << bpp) - 1)).reshape(len(bits), h // ds, w // ds)
+    small = (q / float((1 << bpp) - 1)).reshape(len(bits), rows, cols)
     img = np.repeat(np.repeat(small, ds, axis=1), ds, axis=2).reshape(len(bits), -1)
     return img[0] if one else img
 
 
 def source_bit_count(cfg: CodecConfig, image_shape=(16, 16)) -> int:
-    h, w = image_shape
-    ds = cfg.downsample_factor
-    return (h // ds) * (w // ds) * cfg.bits_per_pixel
+    rows, cols = _source_grid(cfg, image_shape)
+    return rows * cols * cfg.bits_per_pixel
 
 
 def channel_encode(cfg: CodecConfig, bits: np.ndarray) -> np.ndarray:
@@ -144,14 +152,6 @@ def channel_decode(cfg: CodecConfig, bits: np.ndarray) -> np.ndarray:
         blocks = blocks ^ _SYNDROME_FLIP[syndrome @ [1, 2, 4]]
         decoded = blocks[:, :, :4].reshape(len(bits), -1)
     return decoded[0] if one else decoded
-
-
-def coded_bit_count(cfg: CodecConfig, n_source_bits: int) -> int:
-    if cfg.channel_code == "none":
-        return n_source_bits
-    if cfg.channel_code == "repetition_3":
-        return 3 * n_source_bits
-    return 7 * ((n_source_bits + 3) // 4)
 
 
 def detection_threshold(cfg: CodecConfig, p: ChannelParams, t: float | None = None) -> float:
@@ -249,12 +249,12 @@ def transmit_images(
     rng: np.random.Generator,
     cfg: CodecConfig,
     p: ChannelParams,
-    images: np.ndarray,
+    coded: np.ndarray,
     image_shape=(16, 16),
 ) -> np.ndarray:
-    """Full codec+channel round trip for a batch; returns reconstructions."""
-    coded = channel_encode(cfg, source_encode(cfg, np.atleast_2d(images), image_shape))
-    decoded = channel_decode(cfg, ook_transmit(rng, p, coded, cfg))
+    """OOK channel and receiver for a batch of channel-coded bitstreams (B, n),
+    as :func:`channel_encode` returns them; returns reconstructed images."""
+    decoded = channel_decode(cfg, ook_transmit(rng, p, np.atleast_2d(coded), cfg))
     return source_decode(cfg, decoded[:, :source_bit_count(cfg, image_shape)], image_shape)
 
 
@@ -266,9 +266,11 @@ def baseline_evaluate(
     classifier: BaselineClassifier,
     n_trials: int = 3,
 ) -> tuple[float, float, float]:
-    """Pipeline accuracy under the channel with a 95% Wilson interval."""
+    """Pipeline accuracy under the channel with a 95% Wilson interval. The
+    test set is coded once; each trial runs OOK and the receiver on it."""
     shape = (test_set.height, test_set.width)
+    coded = channel_encode(cfg, source_encode(cfg, test_set.images, shape))
     return trial_accuracy(
         rng, test_set, n_trials,
-        lambda trial_rng, images: classifier.predict_proba(
-            transmit_images(trial_rng, cfg, p, images, shape)).argmax(axis=1))
+        lambda trial_rng: classifier.predict_proba(
+            transmit_images(trial_rng, cfg, p, coded, shape)).argmax(axis=1))

@@ -8,7 +8,9 @@ class probabilities.
 
 Training runs the symbols through the frozen channel surrogate so that the
 cross-entropy gradient reaches the encoder and quantizer; evaluation runs
-them through the real slot sampler instead. Consecutive symbols of a frame
+them through the real slot sampler instead. The transmitter draws no
+randomness, so an evaluation runs it once; each noise trial then draws only
+the channel and runs only the receiver. Consecutive symbols of a frame
 occupy consecutive slots, so each symbol's channel context is (itself, its
 predecessor), with a silent slot before the frame.
 """
@@ -159,11 +161,11 @@ def transmit_eval(
     rng: np.random.Generator,
     model: SemanticModel,
     p: ChannelParams,
-    images: np.ndarray,
+    w: np.ndarray,
     t: float | None = None,
 ) -> np.ndarray:
-    """Class probabilities through the real slot sampler (no gradients)."""
-    w = encode_batch(model, images).data
+    """Class probabilities for release fractions ``w`` (B, k) sent through
+    the real slot sampler (no gradients)."""
     w_rx = observe_frames(rng, p, w, t)
     return model.decoder.forward(Tensor(w_rx)).data
 
@@ -237,21 +239,23 @@ def trial_accuracy(
     rng: np.random.Generator,
     test_set: Dataset,
     n_trials: int,
-    predict: Callable[[np.random.Generator, np.ndarray], np.ndarray],
+    predict: Callable[[np.random.Generator], np.ndarray],
 ) -> tuple[float, float, float]:
-    """Pooled accuracy of ``predict(trial_rng, images)`` over noise trials.
+    """Pooled accuracy of ``predict(trial_rng)`` over noise trials.
 
-    Each trial hands ``predict`` an independent per-trial stream for the
-    whole test set; the pooled correct count gives a 95% binomial (Wilson)
-    interval.
+    ``predict`` returns one predicted label per test image, in the order of
+    ``test_set.labels``. Each trial hands it an independent per-trial
+    stream, which it spends on the channel draws alone: the caller computes
+    the transmit side once, before the trials. The pooled correct count
+    gives a 95% binomial (Wilson) interval.
     """
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     trial_seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
-    correct = sum(int((predict(np.random.default_rng(int(seed)), test_set.images)
-                       == test_set.labels).sum()) for seed in trial_seeds)
+    correct = sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
+                  for seed in trial_seeds)
     total = n_trials * len(test_set)
     lo, hi = wilson_interval(correct, total)
     return correct / total, lo, hi
@@ -265,7 +269,9 @@ def evaluate_accuracy(
     n_trials: int = 3,
 ) -> tuple[float, float, float]:
     """Fraction correct through the real channel, averaged over noise draws,
-    with a 95% Wilson interval (see :func:`trial_accuracy`)."""
+    with a 95% Wilson interval (see :func:`trial_accuracy`). The test set is
+    encoded once; each trial runs the channel and the decoder on it."""
+    w = encode_batch(model, test_set.images).data
     return trial_accuracy(
         rng, test_set, n_trials,
-        lambda trial_rng, images: transmit_eval(trial_rng, model, p, images).argmax(axis=1))
+        lambda trial_rng: transmit_eval(trial_rng, model, p, w).argmax(axis=1))

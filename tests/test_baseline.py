@@ -5,13 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from mclink import baseline
 from mclink.baseline import (
     CodecConfig,
     baseline_evaluate,
     channel_decode,
     channel_encode,
     clean_reconstructions,
-    coded_bit_count,
     detection_threshold,
     ook_transmit,
     source_bit_count,
@@ -142,6 +142,10 @@ class TestSourceCodec:
         cfg = CodecConfig(downsample_factor=3)
         with pytest.raises(ValueError, match="divisible"):
             source_encode(cfg, np.zeros(256))
+        with pytest.raises(ValueError, match="divisible"):
+            source_decode(cfg, np.zeros(25, dtype=np.uint8))
+        with pytest.raises(ValueError, match="divisible"):
+            source_bit_count(cfg)
 
     def test_out_of_range_pixels_rejected(self):
         cfg = CodecConfig()
@@ -213,11 +217,6 @@ class TestChannelCodes:
             channel_decode(CodecConfig(channel_code="hamming_7_4"),
                            np.zeros(10, dtype=np.uint8))
 
-    def test_coded_bit_count(self):
-        assert coded_bit_count(CodecConfig(channel_code="hamming_7_4"), 16) == 28
-        assert coded_bit_count(CodecConfig(channel_code="repetition_3"), 16) == 48
-        assert coded_bit_count(CodecConfig(channel_code="none"), 16) == 16
-
 
 class TestBatchCodec:
     @pytest.mark.parametrize("cfg", CODECS, ids=lambda c: (
@@ -281,7 +280,8 @@ class TestBatchCodec:
         images = make_dataset(np.random.default_rng(43), 50).images
         for cfg in (CodecConfig(), CodecConfig(downsample_factor=2, bits_per_pixel=3,
                                                channel_code="repetition_3")):
-            got = transmit_images(np.random.default_rng(44), cfg, p, images)
+            coded = channel_encode(cfg, source_encode(cfg, images))
+            got = transmit_images(np.random.default_rng(44), cfg, p, coded)
             want = ref_transmit_images(np.random.default_rng(44), cfg, p, images)
             assert np.array_equal(got, want)
 
@@ -357,21 +357,39 @@ class TestPipeline:
 
     def test_transmitted_reconstructions_binary_at_1bpp(self, toy_sets):
         _, test = toy_sets
-        recon = transmit_images(np.random.default_rng(35), CodecConfig(), S1,
-                                test.images[:8])
+        cfg = CodecConfig()
+        coded = channel_encode(cfg, source_encode(cfg, test.images[:8]))
+        recon = transmit_images(np.random.default_rng(35), cfg, S1, coded)
         assert set(np.unique(recon)) <= {0.0, 1.0}
 
     @pytest.mark.parametrize("n_m", [100, 4000])
     def test_evaluate_draws_the_reference_stream(self, toy_sets, classifier, n_m):
+        # the reference codes the test set again in every trial
         _, test = toy_sets
-        cfg, p = CodecConfig(), with_overrides(S1, max_molecules=n_m)
-        got = baseline_evaluate(np.random.default_rng(37), cfg, p, test, classifier,
-                                n_trials=2)
-        want = trial_accuracy(
-            np.random.default_rng(37), test, 2,
-            lambda rng, images: classifier.predict_proba(
-                ref_transmit_images(rng, cfg, p, images)).argmax(axis=1))
-        assert got == want
+        cfg = CodecConfig()
+        for name in ("scenario1", "scenario2"):
+            p = with_overrides(scenario(name), max_molecules=n_m)
+            got = baseline_evaluate(np.random.default_rng(37), cfg, p, test, classifier,
+                                    n_trials=3)
+            want = trial_accuracy(
+                np.random.default_rng(37), test, 3,
+                lambda rng: classifier.predict_proba(
+                    ref_transmit_images(rng, cfg, p, test.images)).argmax(axis=1))
+            assert got == want
+
+    @pytest.mark.parametrize("n_trials", [1, 3, 15])
+    def test_codes_the_test_set_once(self, toy_sets, classifier, monkeypatch, n_trials):
+        _, test = toy_sets
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return source_encode(*args, **kwargs)
+
+        monkeypatch.setattr(baseline, "source_encode", counted)
+        baseline_evaluate(np.random.default_rng(38), CodecConfig(), S1, test, classifier,
+                          n_trials=n_trials)
+        assert len(calls) == 1
 
     def test_classifier_checkpoint_roundtrip(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"

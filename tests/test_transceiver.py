@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mclink import nn
-from mclink.channel import scenario, with_overrides
+from mclink import nn, transceiver
+from mclink.channel import observe_frames, scenario, with_overrides
 from mclink.dataset import make_dataset, one_hot
 from mclink.nn import DenseNet, Tensor, gradient_check
 from mclink.surrogate import (
@@ -26,10 +26,18 @@ from mclink.transceiver import (
     train_end_to_end,
     transmit_eval,
     transmit_train,
+    trial_accuracy,
     wilson_interval,
 )
 
 S1 = scenario("scenario1")
+
+
+def ref_transmit_eval(rng, model, p, images):
+    """Evaluation's per-trial step as it ran before the transmit side was
+    hoisted: encode the images, then channel and decoder."""
+    w = encode_batch(model, images).data
+    return model.decoder.forward(Tensor(observe_frames(rng, p, w))).data
 
 
 class IdentitySurrogate:
@@ -165,9 +173,9 @@ class TestEndToEndGradient:
 
 class TestTransmitEval:
     def test_probabilities_and_determinism(self, small_model):
-        x = np.random.default_rng(12).uniform(size=(5, 256))
-        y1 = transmit_eval(np.random.default_rng(77), small_model, S1, x)
-        y2 = transmit_eval(np.random.default_rng(77), small_model, S1, x)
+        w = encode_batch(small_model, np.random.default_rng(12).uniform(size=(5, 256))).data
+        y1 = transmit_eval(np.random.default_rng(77), small_model, S1, w)
+        y2 = transmit_eval(np.random.default_rng(77), small_model, S1, w)
         assert np.array_equal(y1, y2)
         assert np.abs(y1.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -294,6 +302,35 @@ class TestEvaluateAccuracy:
         model, ds = self._crafted_setup()
         with pytest.raises(ValueError):
             evaluate_accuracy(np.random.default_rng(0), model, S1, ds, n_trials=0)
+
+    @pytest.mark.parametrize("n_m", [100, 4000])
+    def test_draws_the_reference_stream(self, n_m):
+        # the reference encodes the test set again in every trial; random
+        # images put near-ties between symbols, so the count moves with the noise
+        model, ds = self._crafted_setup()
+        images = np.random.default_rng(45).uniform(size=(200, 4))
+        test = type(ds)(images=images, labels=images.argmax(axis=1), height=4, width=1,
+                        channels=1)
+        for name in ("scenario1", "scenario2"):
+            p = with_overrides(scenario(name), max_molecules=n_m)
+            got = evaluate_accuracy(np.random.default_rng(46), model, p, test, n_trials=3)
+            want = trial_accuracy(
+                np.random.default_rng(46), test, 3,
+                lambda rng: ref_transmit_eval(rng, model, p, test.images).argmax(axis=1))
+            assert got == want
+
+    @pytest.mark.parametrize("n_trials", [1, 3, 15])
+    def test_encodes_the_test_set_once(self, monkeypatch, n_trials):
+        model, ds = self._crafted_setup()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return encode_batch(*args, **kwargs)
+
+        monkeypatch.setattr(transceiver, "encode_batch", counted)
+        evaluate_accuracy(np.random.default_rng(47), model, S1, ds, n_trials=n_trials)
+        assert len(calls) == 1
 
 
 class TestWilson:
