@@ -268,6 +268,8 @@ def baseline_evaluate(
 ) -> tuple[float, float, float]:
     """Pipeline accuracy under the channel with a 95% Wilson interval. The
     test set is coded once; each trial runs OOK and the receiver on it."""
+    if len(test_set) == 0:
+        raise ValueError("test set is empty")
     shape = (test_set.height, test_set.width)
     coded = channel_encode(cfg, source_encode(cfg, test_set.images, shape))
     return trial_accuracy(

@@ -78,13 +78,24 @@ def make_image(rng: np.random.Generator, label: int, size: int = IMAGE_SIZE,
 
 def make_dataset(rng: np.random.Generator, count: int, size: int = IMAGE_SIZE,
                  noise_std: float = PIXEL_NOISE_STD, max_shift: int = MAX_SHIFT) -> Dataset:
-    """Balanced dataset with labels cycling through the four classes."""
+    """Balanced dataset with labels cycling through the four classes.
+
+    Each image is ``make_image`` with the same two draws in the same order,
+    so the bytes equal a loop over it; the shifted patterns come from a
+    table built once per call, and the clip runs once on the whole array.
+    """
+    shifts = range(-max_shift, max_shift + 1)
+    # table[label, dy + max_shift, dx + max_shift] = the pattern rolled by (dy, dx)
+    table = np.array([[[np.roll(_base_pattern(label, size), (dy, dx), axis=(0, 1)).reshape(-1)
+                        for dx in shifts] for dy in shifts]
+                      for label in range(len(CLASS_NAMES))])
     images = np.empty((count, size * size), dtype=float)
-    labels = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        label = i % len(CLASS_NAMES)
-        images[i] = make_image(rng, label, size, noise_std, max_shift).reshape(-1)
-        labels[i] = label
+    labels = np.arange(count, dtype=np.int64) % len(CLASS_NAMES)
+    for row, label in zip(images, labels):
+        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2) + max_shift
+        np.multiply(noise_std, rng.standard_normal(size * size), out=row)
+        row += table[label, dy, dx]
+    np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images=images, labels=labels, height=size, width=size, channels=1)
 
 

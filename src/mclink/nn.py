@@ -3,14 +3,23 @@
 Just enough autodiff for this project: float64 tensors holding a dense
 array, a gradient slot, and a backward closure. Graphs are built by the
 ops below (elementwise math, the four activations, gather, concat) and
-walked once per loss evaluation. Each layer of a ``DenseNet`` is one fused
-node, ``dense``: matmul, bias and activation forward, and a hand-written
-backward that takes the activation's derivative from the layer output
-and forms only the gradients some tensor requires. It runs the same array
-operations as the three composed nodes, so its values are bit-identical
-to theirs. Every network trains through one loop, ``train``: SGD with
-momentum, early stopping, best-weight restore. Training is single-threaded
-by contract so runs are reproducible bit for bit for a fixed seed.
+walked once per loss evaluation. The hot paths are fused nodes, each with
+a hand-written backward that runs the same array operations, in the same
+order, as the composed ops it replaces, so its values are bit-identical
+to theirs (the tests keep the composed forms as the reference):
+
+* ``dense``, one layer of a ``DenseNet``: matmul, bias and activation;
+  backward takes the activation's derivative from the layer output and
+  forms only the gradients some tensor requires;
+* ``cross_entropy``: floor, log, one-hot pick, row sum and batch mean;
+* in ``surrogate``, the mixture head's NLL (``mdn_nll``) and its
+  reparameterized draw (``sample_surrogate``), each one node on the raw
+  net output.
+
+The elementwise ops stay for other graphs and as those references. Every
+network trains through one loop, ``train``: SGD with momentum, early
+stopping, best-weight restore. Training is single-threaded by contract so
+runs are reproducible bit for bit for a fixed seed.
 """
 
 from __future__ import annotations
@@ -465,18 +474,29 @@ def cross_entropy(y, z):
     if y_data.shape != z.shape:
         raise ValueError(f"shape mismatch: y {y_data.shape} vs z {z.shape}")
     z2 = z.reshape(-1, z.shape[-1])
-    if not (np.isin(z2, (0.0, 1.0)).all() and (z2.sum(axis=1) == 1.0).all()):
+    if not (((z2 == 0.0) | (z2 == 1.0)).all() and (z2.sum(axis=1) == 1.0).all()):
         raise ValueError("z must be one-hot")
     sums = y_data.reshape(-1, y_data.shape[-1]).sum(axis=1)
     if np.abs(sums - 1.0).max() > 1e-6:
         raise ValueError("each y row must sum to 1 within 1e-6")
+    # one node: the array operations of maximum_scalar, log, mul, tsum, the
+    # -1 factor and tmean composed, forward and backward, in their order
+    floored = np.maximum(y_data, LOG_EPS)
+    per = (z * np.log(floored)).sum(axis=-1) * -1.0
+    n = per.size
+    loss = per if per.ndim == 0 else per.sum() / n
     if y_t is None:
-        per = -(z * np.log(np.maximum(y_data, LOG_EPS))).sum(axis=-1)
-        return float(per.mean())
-    per = mul(tsum(mul(Tensor(z), log(maximum_scalar(y_t, LOG_EPS))), axis=-1), -1.0)
-    if per.data.ndim == 0:
-        return per
-    return tmean(per)
+        return float(loss)
+
+    def backward_fn(g):
+        if per.ndim:
+            g = np.broadcast_to(g / n, per.shape)
+        g = np.expand_dims(g * -1.0, -1) * z
+        g /= floored
+        g *= y_data > LOG_EPS
+        y_t._accumulate(g)
+
+    return Tensor(loss, requires_grad=y_t.requires_grad, parents=(y_t,), backward_fn=backward_fn)
 
 
 def clip_gradients(params, max_norm: float) -> float:

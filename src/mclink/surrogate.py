@@ -30,6 +30,8 @@ HIDDEN_WIDTH = 64
 MDN_LAYERS = 5
 SIGMA2_MIN = 1e-6
 SIGMA2_MAX = 1e2
+LOGVAR_MIN = math.log(SIGMA2_MIN)
+LOGVAR_MAX = math.log(SIGMA2_MAX)
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 SURROGATE_ROLE = "channel_surrogate"
@@ -111,27 +113,26 @@ def build_mdn_net(rng: np.random.Generator, hidden: int = HIDDEN_WIDTH,
     return DenseNet(dims, activations, rng=rng)
 
 
-def mdn_head_tensors(raw: Tensor, h: int = COMPONENTS) -> tuple[Tensor, Tensor, Tensor]:
-    """Split raw net outputs into (pi, mu, sigma2) graph tensors.
-
-    pi through a softmax, mu as-is, sigma2 as exp of the log-variance
-    clamped to [SIGMA2_MIN, SIGMA2_MAX].
-    """
-    pi = nn.softmax(raw[:, 0:h], axis=-1)
-    mu = raw[:, h:2 * h]
-    logvar = nn.clip(raw[:, 2 * h:3 * h], math.log(SIGMA2_MIN), math.log(SIGMA2_MAX))
-    return pi, mu, nn.exp(logvar)
-
-
 def mdn_forward(net: DenseNet, context) -> MixtureParams:
-    """Numeric mixture parameters for one context (w_curr, w_prev) or a batch."""
+    """Numeric mixture parameters for one context (w_curr, w_prev) or a batch.
+
+    The raw (rows, 3h) outputs split into pi through a softmax, mu as-is,
+    and sigma2 as exp of the log-variance clamped to [LOGVAR_MIN, LOGVAR_MAX].
+    """
     ctx = np.atleast_2d(np.asarray(context, dtype=float))
-    raw = net.forward(Tensor(ctx))
-    h = raw.data.shape[1] // 3
-    pi, mu, sigma2 = mdn_head_tensors(raw, h)
-    single = np.asarray(context).ndim == 1
-    take = (lambda t: t.data[0]) if single else (lambda t: t.data)
-    return MixtureParams(pi=take(pi), mu=take(mu), sigma2=take(sigma2))
+    raw = net.forward(Tensor(ctx)).data
+    h = raw.shape[1] // 3
+    pi = nn.apply_activation(raw[:, 0:h], "softmax")
+    mu = raw[:, h:2 * h].copy()
+    sigma2 = np.exp(np.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX))
+    if np.asarray(context).ndim == 1:
+        pi, mu, sigma2 = pi[0], mu[0], sigma2[0]
+    return MixtureParams(pi=pi, mu=mu, sigma2=sigma2)
+
+
+def _unclipped(logvar: np.ndarray) -> np.ndarray:
+    """Where the log-variance clamp passes the gradient."""
+    return (logvar > LOGVAR_MIN) & (logvar < LOGVAR_MAX)
 
 
 def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
@@ -141,51 +142,97 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
     networks: log-softmax weights plus log-normal kernels, combined by a
     log-sum-exp. That keeps it finite on outliers without a density floor
     and avoids the round-off of exponentiating and re-logging each term.
+
+    The head is one graph node on the raw (rows, 3h) output. Forward and
+    backward run the array operations of ``log_softmax``, ``clip``,
+    ``exp``, ``logsumexp`` and ``tmean`` composed, in their order, so its
+    values are bit-identical to theirs; backward scatters into one
+    (rows, 3h) gradient.
     """
     contexts, targets = pairs
     if len(np.atleast_1d(targets)) == 0:
         raise ValueError("empty batch")
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    if targets.shape != (len(contexts),):
+        raise ValueError(f"{len(contexts)} contexts but targets of shape {targets.shape}")
     raw = net.forward(Tensor(contexts))
-    h = raw.data.shape[1] // 3
-    log_pi = nn.log_softmax(raw[:, 0:h], axis=-1)
-    mu = raw[:, h:2 * h]
-    logvar = nn.clip(raw[:, 2 * h:3 * h], math.log(SIGMA2_MIN), math.log(SIGMA2_MAX))
-    diff = mu - Tensor(targets.reshape(-1, 1))
-    log_kernel = (logvar + diff * diff * nn.exp(-logvar)) * -0.5 - HALF_LOG_2PI
-    return -nn.tmean(nn.logsumexp(log_pi + log_kernel, axis=-1))
+    x = raw.data
+    n, h = len(x), x.shape[1] // 3
+    logits, mu, logvar_raw = x[:, 0:h], x[:, h:2 * h], x[:, 2 * h:3 * h]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_pi = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
+    diff = mu - targets.reshape(-1, 1)
+    inv_var = np.exp(logvar * -1.0)
+    sq = diff * diff
+    joint = log_pi + ((logvar + sq * inv_var) * -0.5 - HALF_LOG_2PI)
+    peak = joint.max(axis=-1, keepdims=True)
+    lse = peak + np.log(np.exp(joint - peak).sum(axis=-1, keepdims=True))
+    loss = lse.sum() / n * -1.0
+
+    def backward_fn(g):
+        g_joint = g * -1.0 / n * np.exp(joint - lse)
+        g_half = g_joint * -0.5
+        g_diff = g_half * inv_var * diff
+        g_logvar = g_half + g_half * sq * inv_var * -1.0
+        # += on zeros, as the composed slices' zero-filled gradients add, so
+        # signed zeros match
+        grad = np.zeros_like(x)
+        grad[:, 0:h] += g_joint - np.exp(log_pi) * g_joint.sum(axis=-1, keepdims=True)
+        grad[:, h:2 * h] += g_diff + g_diff
+        grad[:, 2 * h:3 * h] += g_logvar * _unclipped(logvar_raw)
+        raw._accumulate(grad)
+
+    return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
 
 def sample_surrogate(
     rng: np.random.Generator | None,
-    mixture: tuple[Tensor, Tensor, Tensor],
+    raw: Tensor,
+    h: int = COMPONENTS,
     frozen_noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
-    """Reparameterized draw from a mixture, one sample per row.
+    """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
 
-    ``mixture`` is a (pi, mu, sigma2) tuple of (rows, h) graph tensors.
-    The component index is drawn from pi and treated as a constant;
-    gradients flow through the selected mean and variance only.
-    ``frozen_noise`` = (component index, standard-normal eps) replays fixed
-    draws, e.g. for finite-difference checks.
+    ``raw`` holds (rows, 3h) outputs, split as :func:`mdn_forward` splits
+    them. The component index is drawn from pi (``rng.random``, then
+    ``rng.standard_normal`` for eps) and treated as a constant; gradients
+    flow through the selected mean and variance only. ``frozen_noise`` =
+    (component index, standard-normal eps) replays fixed draws, e.g. for
+    finite-difference checks. One graph node, bit-identical to the
+    softmax, clip, exp, row pick, sqrt and affine draw composed.
     """
-    pi_t, mu_t, s2_t = mixture
-    n = pi_t.data.shape[0]
+    x = raw.data
+    n = x.shape[0]
     if frozen_noise is None:
         if rng is None:
             raise ValueError("need an rng when no frozen noise is supplied")
         u = rng.random(n)
-        idx = (u[:, None] > np.cumsum(pi_t.data, axis=1)).sum(axis=1)
-        idx = np.minimum(idx, pi_t.data.shape[1] - 1)
+        pi = nn.apply_activation(x[:, 0:h], "softmax")
+        idx = (u[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
+        idx = np.minimum(idx, h - 1)
         eps = rng.standard_normal(n)
     else:
         idx, eps = frozen_noise
         idx = np.asarray(idx, dtype=np.intp)
         eps = np.asarray(eps, dtype=float)
-    mu_sel = nn.take_rows(mu_t, idx)
-    s2_sel = nn.take_rows(s2_t, idx)
-    return mu_sel + nn.sqrt(s2_sel) * Tensor(eps)
+        if np.any((idx < 0) | (idx >= h)):
+            raise ValueError(f"component indices must lie in [0, {h})")
+    rows = np.arange(n)
+    logvar_raw = x[rows, 2 * h + idx]
+    s2 = np.exp(np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX))
+    sd = np.sqrt(s2)
+    out = x[rows, h + idx] + sd * eps
+
+    def backward_fn(g):
+        # += on zeros, as the composed scatter-adds, so signed zeros match
+        grad = np.zeros_like(x)
+        grad[rows, h + idx] += g
+        grad[rows, 2 * h + idx] += g * eps * 0.5 / sd * s2 * _unclipped(logvar_raw)
+        raw._accumulate(grad)
+
+    return Tensor(out, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
 
 @dataclass
@@ -209,8 +256,7 @@ class ChannelSurrogate:
         frozen_noise=None,
     ) -> Tensor:
         """Per-row received-symbol draw with a gradient path into ``ctx``."""
-        mixture = mdn_head_tensors(self.net.forward(ctx), self.h)
-        return sample_surrogate(rng, mixture, frozen_noise=frozen_noise)
+        return sample_surrogate(rng, self.net.forward(ctx), self.h, frozen_noise=frozen_noise)
 
     def save(self, path) -> None:
         meta = {"h": self.h, "channel": self.channel}

@@ -43,7 +43,30 @@ class TestImages:
             assert shifted.sum() == pytest.approx(clean.sum())   # disk never clipped
 
 
+def ref_make_dataset(rng, count, size=16, noise_std=0.15, max_shift=2):
+    """The per-image loop the table kernel replaced, kept as the reference."""
+    images = np.empty((count, size * size), dtype=float)
+    labels = np.empty(count, dtype=np.int64)
+    for i in range(count):
+        label = i % len(CLASS_NAMES)
+        images[i] = make_image(rng, label, size, noise_std, max_shift).reshape(-1)
+        labels[i] = label
+    return images, labels
+
+
 class TestDataset:
+    @pytest.mark.parametrize("count,kwargs", [
+        (0, {}), (7, {}), (40, {}), (7, {"size": 8}), (7, {"max_shift": 0}),
+        (9, {"size": 8, "noise_std": 0.4, "max_shift": 3}),
+    ])
+    def test_matches_per_image_reference_bit_for_bit(self, count, kwargs):
+        got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = make_dataset(got_rng, count, **kwargs)
+        images, labels = ref_make_dataset(want_rng, count, **kwargs)
+        assert got.images.shape == images.shape and got.images.tobytes() == images.tobytes()
+        assert got.labels.dtype == labels.dtype and got.labels.tobytes() == labels.tobytes()
+        assert got_rng.random() == want_rng.random()     # the same draws were spent
+
     def test_balanced_and_deterministic(self):
         a = make_dataset(np.random.default_rng(5), 400)
         b = make_dataset(np.random.default_rng(5), 400)

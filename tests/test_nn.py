@@ -1,6 +1,7 @@
 """Autodiff core: ops, losses, optimizer, gradient checks, checkpoints."""
 
 import gc
+import itertools
 import math
 import weakref
 
@@ -100,6 +101,63 @@ class TestCrossEntropy:
         double = grads(np.vstack([x1, x1]), np.vstack([z1, z1]))
         for a, b in zip(single, double):
             assert np.allclose(b, a, rtol=1e-12)
+
+    @staticmethod
+    def _composed(y, z):
+        """The chain the fused node replaced, kept as the reference."""
+        per = nn.mul(nn.tsum(nn.mul(Tensor(z), nn.log(nn.maximum_scalar(y, nn.LOG_EPS))),
+                             axis=-1), -1.0)
+        return per if per.data.ndim == 0 else nn.tmean(per)
+
+    @staticmethod
+    def _predictions(rng, rows, classes):
+        y = nn.softmax(Tensor(rng.normal(scale=4.0, size=(rows, classes)))).data
+        y[:2] = 0.0                                 # entries below LOG_EPS, floored
+        y[0, 0] = 1.0
+        y[1, :2] = [1.0 - 1e-13, 1e-13]
+        return y
+
+    @pytest.mark.parametrize("rows", [None, 2, 9, 64])
+    def test_matches_composed_ops_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows or 1)
+        y = self._predictions(rng, rows or 3, 4)
+        z = np.eye(4)[rng.integers(0, 4, size=len(y))]
+        z[0] = [0.0, 1.0, 0.0, 0.0]                 # the loss reads the floor, no gradient
+        cases = [(y, z)] if rows else [(y[0], z[0]), (y[2], z[2])]   # None: the 1-D path
+        for (y, z), upstream in itertools.product(cases, (1.0, -3.5)):
+            got_y, want_y = Tensor(y.copy(), requires_grad=True), Tensor(y.copy(),
+                                                                        requires_grad=True)
+            got, want = cross_entropy(got_y, z), self._composed(want_y, z)
+            assert got._parents == (got_y,)          # one node
+            assert got.data.tobytes() == want.data.tobytes()
+            assert cross_entropy(y, z) == float(want.data)
+            (got * upstream).backward()
+            (want * upstream).backward()
+            assert got_y.grad.tobytes() == want_y.grad.tobytes()
+
+    def test_network_gradients_match_composed_ops(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(scale=3.0, size=(32, 5))
+        z = np.eye(3)[rng.integers(0, 3, size=32)]
+        grads = []
+        for loss in (cross_entropy, self._composed):
+            net = DenseNet([5, 8, 3], ["leaky_relu", "softmax"], rng=np.random.default_rng(5))
+            loss(net.forward(Tensor(x)), z).backward()
+            grads.append([p.grad.tobytes() for p in net.parameters()])
+        assert grads[0] == grads[1]
+
+    def test_one_hot_check_accepts_what_isin_accepted(self):
+        candidates = [[1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 0.5], [1.0, 1.0],
+                      [np.nan, 1.0], [2.0, -1.0], [np.inf, 0.0], [1.0 + 1e-16, 0.0]]
+        y = np.array([0.5, 0.5])
+        for z in map(np.array, candidates):
+            old_rule = np.isin(z, (0.0, 1.0)).all() and z.sum() == 1.0
+            try:
+                cross_entropy(y, z)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == old_rule, z
 
 
 class TestBackward:

@@ -12,6 +12,9 @@ from mclink.nn import Tensor, gradient_check
 from mclink.surrogate import (
     ChannelSurrogate,
     FIT_CONFIG,
+    HALF_LOG_2PI,
+    LOGVAR_MAX,
+    LOGVAR_MIN,
     MixtureParams,
     SURROGATE_ROLE,
     build_mdn_net,
@@ -36,6 +39,65 @@ def zeroed_final_layer(net):
     net.weights[-1].data[:] = 0.0
     net.biases[-1].data[:] = 0.0
     return net
+
+
+# -- the composed ops the fused head nodes replaced, kept as the reference --
+
+def ref_head_tensors(raw, h):
+    pi = nn.softmax(raw[:, 0:h], axis=-1)
+    mu = raw[:, h:2 * h]
+    logvar = nn.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    return pi, mu, nn.exp(logvar)
+
+
+def ref_mdn_nll(raw, targets):
+    h = raw.data.shape[1] // 3
+    log_pi = nn.log_softmax(raw[:, 0:h], axis=-1)
+    mu = raw[:, h:2 * h]
+    logvar = nn.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    diff = mu - Tensor(targets.reshape(-1, 1))
+    log_kernel = (logvar + diff * diff * nn.exp(-logvar)) * -0.5 - HALF_LOG_2PI
+    return -nn.tmean(nn.logsumexp(log_pi + log_kernel, axis=-1))
+
+
+def ref_sample(rng, raw, h, frozen_noise=None):
+    pi_t, mu_t, s2_t = ref_head_tensors(raw, h)
+    n = pi_t.data.shape[0]
+    if frozen_noise is None:
+        u = rng.random(n)
+        idx = (u[:, None] > np.cumsum(pi_t.data, axis=1)).sum(axis=1)
+        idx = np.minimum(idx, pi_t.data.shape[1] - 1)
+        eps = rng.standard_normal(n)
+    else:
+        idx, eps = frozen_noise
+    mu_sel = nn.take_rows(mu_t, idx)
+    s2_sel = nn.take_rows(s2_t, idx)
+    return mu_sel + nn.sqrt(s2_sel) * Tensor(eps)
+
+
+class FixedOutput:
+    """Stands in for the mixture net: returns one given raw output tensor."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def forward(self, x):
+        return self.raw
+
+
+def head_outputs(rng, rows, h):
+    """Raw (rows, 3h) outputs with log-variances on both sides of the clamp
+    and at its bounds, where its gradient stops."""
+    raw = rng.normal(scale=3.0, size=(rows, 3 * h))
+    logvar = raw[:, 2 * h:]
+    logvar += rng.choice([-14.0, 0.0, 3.0], size=logvar.shape)
+    logvar.flat[0:4] = [-30.0, 30.0, LOGVAR_MIN, LOGVAR_MAX]
+    return raw
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestMixtureParams:
@@ -138,6 +200,13 @@ class TestMdnNll:
         with pytest.raises(ValueError, match="empty"):
             mdn_nll(net, (np.zeros((0, 2)), np.zeros(0)))
 
+    def test_one_target_per_context_required(self):
+        # a length mismatch used to broadcast into a loss over the wrong pairs
+        net = build_mdn_net(np.random.default_rng(0))
+        for ctx, tgt in (((5, 2), (1,)), ((1, 2), (3,)), ((4, 2), (4, 1))):
+            with pytest.raises(ValueError, match="contexts"):
+                mdn_nll(net, (np.zeros(ctx), np.zeros(tgt)))
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         net = build_mdn_net(rng, hidden=6)
@@ -226,31 +295,108 @@ class TestGeneratePairs:
 
 class TestSampleSurrogate:
     def test_degenerate_mixture_returns_mean(self):
-        mixture = tuple(Tensor(np.array([row])) for row in ([1.0, 0.0], [0.42, 9.0], [1e-6, 1.0]))
+        # logits (0, -800) give pi = (1, 0) exactly; sigma2 sits at its floor
+        raw = Tensor(np.array([[0.0, -800.0, 0.42, 9.0, math.log(1e-6), 0.0]]))
         rng = np.random.default_rng(0)
-        draws = np.array([sample_surrogate(rng, mixture).data[0] for _ in range(50)])
+        draws = np.array([sample_surrogate(rng, raw).data[0] for _ in range(50)])
         assert np.abs(draws - 0.42).max() < 5e-3
 
     def test_empirical_mean_matches_mixture_mean(self):
         mp = MixtureParams(pi=[0.3, 0.7], mu=[0.0, 1.0], sigma2=[0.04, 0.09])
-        batch = tuple(Tensor(np.tile(v, (100_000, 1))) for v in (mp.pi, mp.mu, mp.sigma2))
-        draws = sample_surrogate(np.random.default_rng(1), batch).data
+        row = np.concatenate([np.log(mp.pi), mp.mu, np.log(mp.sigma2)])
+        draws = sample_surrogate(np.random.default_rng(1), Tensor(np.tile(row, (100_000, 1)))).data
         se = math.sqrt(mp.variance() / 100_000)
         assert abs(draws.mean() - mp.mean()) < 3 * se
 
     def test_reparameterized_gradient_through_mean(self):
-        mu = Tensor(np.array([[0.5, 2.0]]), requires_grad=True)
-        pi = Tensor(np.array([[1.0, 0.0]]))
-        s2 = Tensor(np.array([[0.25, 0.25]]))
+        raw = Tensor(np.array([[0.0, -800.0, 0.5, 2.0, math.log(0.25), math.log(0.25)]]),
+                     requires_grad=True)
         frozen = (np.array([0]), np.array([0.37]))
 
         def loss_fn():
-            return nn.tsum(sample_surrogate(None, (pi, mu, s2), frozen_noise=frozen))
+            return nn.tsum(sample_surrogate(None, raw, frozen_noise=frozen))
 
         loss_fn().backward()
-        assert mu.grad[0, 0] == pytest.approx(1.0, rel=1e-12)
-        assert mu.grad[0, 1] == 0.0
-        assert gradient_check(loss_fn, [mu]) < 1e-6
+        assert raw.grad[0, 2] == pytest.approx(1.0, rel=1e-12)
+        assert raw.grad[0, 3] == 0.0
+        assert np.all(raw.grad[0, :2] == 0.0)       # the component is held constant
+        assert gradient_check(loss_fn, [raw]) < 1e-6
+
+    def test_frozen_index_out_of_range_rejected(self):
+        raw = Tensor(np.zeros((2, 6)))
+        with pytest.raises(ValueError, match="component"):
+            sample_surrogate(None, raw, frozen_noise=(np.array([0, 2]), np.zeros(2)))
+
+
+class TestFusedHeads:
+    """mdn_nll and the surrogate draw are one node each, bit-identical to the
+    composed ops above: loss, draws and every gradient, signed zeros included."""
+
+    SHAPES = [(1, 2), (13, 2), (256, 2), (7, 3), (5, 9)]
+
+    @pytest.mark.parametrize("rows,h", SHAPES)
+    def test_nll_node_matches_composed_ops(self, rows, h):
+        rng = np.random.default_rng(rows * 10 + h)
+        data = head_outputs(rng, rows, h)
+        targets = rng.normal(scale=4.0, size=rows)
+        for upstream in (1.0, -2.7):
+            got_raw = Tensor(data.copy(), requires_grad=True)
+            want_raw = Tensor(data.copy(), requires_grad=True)
+            got = mdn_nll(FixedOutput(got_raw), (np.zeros((rows, 2)), targets))
+            want = ref_mdn_nll(want_raw, targets)
+            assert got._parents == (got_raw,)           # one node on the raw output
+            assert same_bytes(got.data, want.data)
+            (got * upstream).backward()
+            (want * upstream).backward()
+            assert same_bytes(got_raw.grad, want_raw.grad)
+
+    def test_nll_parameter_gradients_match_composed_ops(self):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ctx, tgt = rng.uniform(size=(64, 2)), rng.normal(size=64)
+            got_net, want_net = build_mdn_net(np.random.default_rng(seed)), build_mdn_net(
+                np.random.default_rng(seed))
+            for net in (got_net, want_net):
+                net.biases[-1].data[4:6] = [-16.0, 6.0]    # clamp active on most rows
+            got = mdn_nll(got_net, (ctx, tgt))
+            want = ref_mdn_nll(want_net.forward(Tensor(ctx)), tgt)
+            assert same_bytes(got.data, want.data)
+            got.backward()
+            want.backward()
+            for a, b in zip(got_net.parameters(), want_net.parameters()):
+                assert same_bytes(a.grad, b.grad)
+
+    @pytest.mark.parametrize("rows,h", SHAPES)
+    def test_draw_node_matches_composed_ops(self, rows, h):
+        rng = np.random.default_rng(rows * 10 + h + 1)
+        data = head_outputs(rng, rows, h)
+        weights = rng.normal(size=rows)
+        weights[::4], weights[1::4] = 0.0, -0.0         # zero upstream gradients of both signs
+        frozen = (rng.integers(0, h, size=rows), rng.standard_normal(rows))
+        for noise in (None, frozen):
+            got_raw = Tensor(data.copy(), requires_grad=True)
+            want_raw = Tensor(data.copy(), requires_grad=True)
+            got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+            got = sample_surrogate(got_rng, got_raw, h, frozen_noise=noise)
+            want = ref_sample(want_rng, want_raw, h, frozen_noise=noise)
+            assert got._parents == (got_raw,)
+            assert same_bytes(got.data, want.data)
+            assert got_rng.random() == want_rng.random()   # the same draws were spent
+            nn.tsum(got * Tensor(weights)).backward()
+            nn.tsum(want * Tensor(weights)).backward()
+            assert same_bytes(got_raw.grad, want_raw.grad)
+
+    def test_sample_tensor_context_gradient_matches_composed_ops(self):
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(8))).freeze()
+        surr.net.biases[-1].data[4] = -16.0
+        ctx = np.random.default_rng(9).uniform(size=(48, 2))
+        got_ctx, want_ctx = Tensor(ctx, requires_grad=True), Tensor(ctx, requires_grad=True)
+        got = surr.sample_tensor(got_ctx, np.random.default_rng(10))
+        want = ref_sample(np.random.default_rng(10), surr.net.forward(want_ctx), surr.h)
+        assert same_bytes(got.data, want.data)
+        nn.tsum(got * got).backward()
+        nn.tsum(want * want).backward()
+        assert same_bytes(got_ctx.grad, want_ctx.grad)
 
 
 class TestChannelSurrogate:
