@@ -17,7 +17,8 @@ or a batch (B, n) and returns the same rank, so a batch of images runs
 through the pipeline as one chain of array operations. The transmit side
 draws no randomness, so an evaluation source- and channel-codes the test
 set once; each noise trial then draws only the OOK channel and runs only
-the receiver.
+the receiver, on its own generator and concurrently with the other trials
+(see :func:`mclink.transceiver.trial_accuracy`).
 """
 
 from __future__ import annotations
@@ -267,7 +268,8 @@ def baseline_evaluate(
     n_trials: int = 3,
 ) -> tuple[float, float, float]:
     """Pipeline accuracy under the channel with a 95% Wilson interval. The
-    test set is coded once; each trial runs OOK and the receiver on it."""
+    test set is coded once; each trial runs OOK and the receiver on it, and
+    the trials run concurrently (see :func:`trial_accuracy`)."""
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     shape = (test_set.height, test_set.width)

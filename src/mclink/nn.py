@@ -54,11 +54,20 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to ``grad``.
+
+        A first gradient is stored as a copy unless ``fresh``: the producer
+        made ``g`` for this tensor alone and keeps no other reference to it.
+        ``add`` hands one array to both parents, ``_unbroadcast``, ``reshape``
+        and ``concat`` can pass views, and ``clip_gradients`` scales grads in
+        place, so those copy.
+        """
         if self.grad is None:
-            # a copy, never ``g`` itself: ``add`` hands one array to both
-            # parents, and ``clip_gradients`` scales grads in place
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            if fresh:
+                self.grad = np.asarray(g, dtype=np.float64, order="C")
+            else:
+                self.grad = np.array(g, dtype=np.float64, order="C")
         else:
             self.grad += g
 
@@ -174,13 +183,14 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def _unary(a, out_data, da) -> Tensor:
+def _unary(a, out_data, da, fresh: bool = False) -> Tensor:
+    """One-input node; ``fresh``: ``da`` returns a new array no one else holds."""
     a = as_tensor(a)
     y = out_data(a.data)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(da(g, a.data, y))
+            a._accumulate(da(g, a.data, y), fresh=fresh)
 
     return Tensor(y, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward_fn)
 
@@ -336,7 +346,7 @@ def getitem(a, idx) -> Tensor:
         z[idx] = g
         return z
 
-    return _unary(a, lambda x: x[idx].copy(), da)
+    return _unary(a, lambda x: x[idx].copy(), da, fresh=True)
 
 
 def take_rows(a, col_index: np.ndarray) -> Tensor:
@@ -350,7 +360,7 @@ def take_rows(a, col_index: np.ndarray) -> Tensor:
         np.add.at(z, (rows, col_index), g)
         return z
 
-    return _unary(a, lambda x: x[rows, col_index].copy(), da)
+    return _unary(a, lambda x: x[rows, col_index].copy(), da, fresh=True)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
@@ -394,11 +404,11 @@ def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
     def backward_fn(g):
         dz = activation_grad(g, y)
         if b.requires_grad:
-            b._accumulate(dz.sum(axis=0))
+            b._accumulate(dz.sum(axis=0), fresh=True)
         if h.requires_grad:
-            h._accumulate(dz @ w.data.T)
+            h._accumulate(dz @ w.data.T, fresh=True)
         if w.requires_grad:
-            w._accumulate(h.data.T @ dz)
+            w._accumulate(h.data.T @ dz, fresh=True)
 
     req = h.requires_grad or w.requires_grad or b.requires_grad
     return Tensor(y, requires_grad=req, parents=(h, w, b), backward_fn=backward_fn)
@@ -494,7 +504,7 @@ def cross_entropy(y, z):
         g = np.expand_dims(g * -1.0, -1) * z
         g /= floored
         g *= y_data > LOG_EPS
-        y_t._accumulate(g)
+        y_t._accumulate(g, fresh=True)
 
     return Tensor(loss, requires_grad=y_t.requires_grad, parents=(y_t,), backward_fn=backward_fn)
 

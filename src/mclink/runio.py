@@ -5,8 +5,12 @@ top-level seed. Purpose-specific streams are derived by hashing string
 labels (SHA-256, first 8 bytes, little-endian) into extra SeedSequence
 entropy words:
 
-    rng = derive_rng(seed, "pairs")          # channel pair generation
-    rng = derive_rng(seed, "eval", trial)    # one evaluation trial
+    rng = derive_rng(seed, "fit-channel")    # pair generation and the fit
+    rng = derive_rng(seed, "eval")           # one evaluation
+
+An evaluation then draws one seed per noise trial from its stream, up
+front, and each trial runs on ``default_rng`` of its own seed (see
+:func:`mclink.transceiver.trial_accuracy`).
 
 The derivation is stable across platforms and Python hash randomization,
 so a manifest (seed + resolved parameters + input hashes) reconstructs a

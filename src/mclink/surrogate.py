@@ -182,7 +182,7 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
         grad[:, 0:h] += g_joint - np.exp(log_pi) * g_joint.sum(axis=-1, keepdims=True)
         grad[:, h:2 * h] += g_diff + g_diff
         grad[:, 2 * h:3 * h] += g_logvar * _unclipped(logvar_raw)
-        raw._accumulate(grad)
+        raw._accumulate(grad, fresh=True)
 
     return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
@@ -230,7 +230,7 @@ def sample_surrogate(
         grad = np.zeros_like(x)
         grad[rows, h + idx] += g
         grad[rows, 2 * h + idx] += g * eps * 0.5 / sd * s2 * _unclipped(logvar_raw)
-        raw._accumulate(grad)
+        raw._accumulate(grad, fresh=True)
 
     return Tensor(out, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 

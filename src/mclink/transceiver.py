@@ -10,7 +10,9 @@ Training runs the symbols through the frozen channel surrogate so that the
 cross-entropy gradient reaches the encoder and quantizer; evaluation runs
 them through the real slot sampler instead. The transmitter draws no
 randomness, so an evaluation runs it once; each noise trial then draws only
-the channel and runs only the receiver. Consecutive symbols of a frame
+the channel and runs only the receiver, on its own generator. The trials run
+concurrently, one share per usable CPU, and give the same bytes as one after
+another. Consecutive symbols of a frame
 occupy consecutive slots, so each symbol's channel context is (itself, its
 predecessor), with a silent slot before the frame.
 """
@@ -18,7 +20,9 @@ predecessor), with a silent slot before the frame.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,6 +239,14 @@ def train_end_to_end(
     return model, history
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def trial_accuracy(
     rng: np.random.Generator,
     test_set: Dataset,
@@ -248,14 +260,33 @@ def trial_accuracy(
     stream, which it spends on the channel draws alone: the caller computes
     the transmit side once, before the trials. The pooled correct count
     gives a 95% binomial (Wilson) interval.
+
+    The trials run concurrently in ``min(n_trials, usable_cpus())`` shares:
+    the calling thread runs one and a thread pool the rest (one trial or one
+    CPU starts no thread). ``predict`` must therefore only read what it
+    shares with other trials; numpy's draws, ufuncs and BLAS release the
+    interpreter lock. Each trial's generator comes from a seed drawn up
+    front and the counts are integers, so the result does not depend on how
+    many trials run at once. An exception in any trial reaches the caller.
     """
     if len(test_set) == 0:
         raise ValueError("test set is empty")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     trial_seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
-    correct = sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
-                  for seed in trial_seeds)
+
+    def count(seeds) -> int:
+        return sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
+                   for seed in seeds)
+
+    workers = min(n_trials, usable_cpus())
+    if workers == 1:
+        correct = count(trial_seeds)
+    else:
+        shares = np.array_split(trial_seeds, workers)
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = [pool.submit(count, share) for share in shares[1:]]
+            correct = count(shares[0]) + sum(f.result() for f in others)
     total = n_trials * len(test_set)
     lo, hi = wilson_interval(correct, total)
     return correct / total, lo, hi
@@ -270,7 +301,8 @@ def evaluate_accuracy(
 ) -> tuple[float, float, float]:
     """Fraction correct through the real channel, averaged over noise draws,
     with a 95% Wilson interval (see :func:`trial_accuracy`). The test set is
-    encoded once; each trial runs the channel and the decoder on it."""
+    encoded once; each trial runs the channel and the decoder on it, and the
+    trials run concurrently."""
     w = encode_batch(model, test_set.images).data
     return trial_accuracy(
         rng, test_set, n_trials,

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mclink import baseline
+from mclink import baseline, transceiver
 from mclink.baseline import (
     CodecConfig,
     baseline_evaluate,
@@ -23,7 +23,12 @@ from mclink.baseline import (
 )
 from mclink.channel import capture_probability, scenario, with_overrides
 from mclink.dataset import make_dataset
-from mclink.transceiver import build_semantic_model, evaluate_accuracy, trial_accuracy
+from mclink.transceiver import (
+    build_semantic_model,
+    evaluate_accuracy,
+    trial_accuracy,
+    wilson_interval,
+)
 
 S1 = scenario("scenario1")
 # a budget at which the OOK link makes bit errors: the baseline reads 0.59-0.64
@@ -409,6 +414,27 @@ class TestPipeline:
         baseline_evaluate(np.random.default_rng(38), CodecConfig(), S1, test, classifier,
                           n_trials=n_trials)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 15])
+    def test_same_tuple_at_any_cpu_count(self, toy_sets, classifier, monkeypatch,
+                                         cpus, n_trials):
+        # trials run in min(n_trials, CPUs) shares; the reference runs them
+        # one after another on the calling thread
+        _, test = toy_sets
+        cfg = CodecConfig()
+        coded = channel_encode(cfg, source_encode(cfg, test.images))
+        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        for name in ("scenario1", "scenario2"):
+            p = with_overrides(scenario(name), max_molecules=NOISY_BUDGET)
+            got = baseline_evaluate(np.random.default_rng(41), cfg, p, test, classifier,
+                                    n_trials=n_trials)
+            seeds = np.random.default_rng(41).integers(0, 2 ** 63 - 1, size=n_trials)
+            correct = sum(int((classifier.predict_proba(
+                transmit_images(np.random.default_rng(int(seed)), cfg, p, coded)
+            ).argmax(axis=1) == test.labels).sum()) for seed in seeds)
+            total = n_trials * len(test)
+            assert got == (correct / total, *wilson_interval(correct, total))
 
     def test_classifier_checkpoint_roundtrip(self, tmp_path, classifier):
         path = tmp_path / "clf.ckpt"

@@ -1,6 +1,10 @@
 """CLI pipeline: artifacts, exit codes, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,3 +373,14 @@ class TestExitCodes:
                     "--n-m-list", "20000", "--trials", 1])
         assert code == EXIT_RUNTIME
         assert "diverged" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_from_a_checkout(self):
+        # no install: the package is found through PYTHONPATH alone
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "mclink", "--version"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.startswith("mclink ")

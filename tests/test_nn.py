@@ -8,7 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from mclink import nn
+from mclink import nn, transceiver
+from mclink.dataset import one_hot
 from mclink.nn import (
     DenseNet,
     SGD,
@@ -19,6 +20,7 @@ from mclink.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from mclink.surrogate import ChannelSurrogate, build_mdn_net, mdn_nll
 
 LN4 = 1.3862943611198906
 
@@ -350,6 +352,53 @@ class TestDense:
         assert norm == pytest.approx(np.sqrt(2.0 * (upstream * upstream).sum()), rel=1e-12)
         expected = upstream * (0.5 / norm)          # each scaled exactly once
         assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
+
+
+def copying_accumulate(self, g, fresh=False):
+    """``Tensor._accumulate`` as it was: every first gradient stored as a copy."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=np.float64, order="C")
+    else:
+        self.grad += g
+
+
+class TestFreshGradients:
+    """Producers that make a gradient for one tensor alone hand it over uncopied."""
+
+    @staticmethod
+    def _transceiver_batch():
+        # dense, getitem, concat, reshape, the surrogate draw and cross-entropy
+        rng = np.random.default_rng(16)
+        model = transceiver.build_semantic_model(rng, image_shape=(8, 8, 1))
+        surrogate = ChannelSurrogate(net=build_mdn_net(rng)).freeze()
+        images, labels = rng.uniform(size=(12, 64)), rng.integers(0, 4, size=12)
+        y = transceiver.transmit_train(rng, model, surrogate, images)
+        nn.cross_entropy(y, one_hot(labels, 4)).backward()
+        return model.parameters()
+
+    @staticmethod
+    def _mdn_batch():
+        rng = np.random.default_rng(17)
+        net = build_mdn_net(rng)
+        mdn_nll(net, (rng.uniform(size=(40, 2)), rng.normal(size=40))).backward()
+        return net.parameters()
+
+    @pytest.mark.parametrize("batch", ["_transceiver_batch", "_mdn_batch"])
+    def test_parameter_gradients_match_copying_accumulate(self, monkeypatch, batch):
+        params = getattr(self, batch)()
+        for a, b in itertools.combinations(params, 2):
+            assert not np.shares_memory(a.grad, b.grad)
+        kept = [p.grad.tobytes() for p in params]
+        monkeypatch.setattr(Tensor, "_accumulate", copying_accumulate)
+        assert [p.grad.tobytes() for p in getattr(self, batch)()] == kept
+
+    def test_clip_scales_one_gradient_alone(self):
+        for i in range(len(self._transceiver_batch())):
+            params = self._transceiver_batch()
+            before = [p.grad.copy() for p in params]
+            nn.clip_gradients([params[i]], max_norm=1e-9)
+            for j, (p, g) in enumerate(zip(params, before)):
+                assert (p.grad.tobytes() == g.tobytes()) == (i != j)
 
 
 class TestSGD:

@@ -1,5 +1,8 @@
 """Semantic pipeline: encoding, surrogate transit, training, evaluation."""
 
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +41,16 @@ def ref_transmit_eval(rng, model, p, images):
     hoisted: encode the images, then channel and decoder."""
     w = encode_batch(model, images).data
     return model.decoder.forward(Tensor(observe_frames(rng, p, w))).data
+
+
+def serial_trial_accuracy(rng, test_set, n_trials, predict):
+    """The trial loop as it ran before its trials ran concurrently: one
+    after another on the calling thread."""
+    seeds = rng.integers(0, 2 ** 63 - 1, size=n_trials)
+    correct = sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
+                  for seed in seeds)
+    total = n_trials * len(test_set)
+    return (correct / total, *wilson_interval(correct, total))
 
 
 class IdentitySurrogate:
@@ -331,6 +344,102 @@ class TestEvaluateAccuracy:
         monkeypatch.setattr(transceiver, "encode_batch", counted)
         evaluate_accuracy(np.random.default_rng(47), model, S1, ds, n_trials=n_trials)
         assert len(calls) == 1
+
+
+class TestConcurrentTrials:
+    """Trials run in min(n_trials, CPUs) shares, one on the calling thread."""
+
+    @staticmethod
+    def _noisy_setup():
+        # the crafted stack on random images: near-ties between symbols make
+        # every trial's count move with its noise, so a lost or repeated
+        # trial changes the tuple
+        model, ds = TestEvaluateAccuracy()._crafted_setup()
+        images = np.random.default_rng(45).uniform(size=(200, 4))
+        return model, type(ds)(images=images, labels=images.argmax(axis=1), height=4,
+                               width=1, channels=1)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("n_trials", [1, 2, 3, 15])
+    def test_same_tuple_at_any_cpu_count(self, monkeypatch, cpus, n_trials):
+        model, test = self._noisy_setup()
+        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # interleave the trial threads finely
+        try:
+            for name in ("scenario1", "scenario2"):
+                p = with_overrides(scenario(name), max_molecules=100)
+                got = evaluate_accuracy(np.random.default_rng(48), model, p, test,
+                                        n_trials=n_trials)
+                want = serial_trial_accuracy(
+                    np.random.default_rng(48), test, n_trials,
+                    lambda rng: ref_transmit_eval(rng, model, p, test.images).argmax(axis=1))
+                assert got == want
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("cpus, n_trials, pool_threads", [(2, 2, 1), (2, 15, 1),
+                                                              (4, 3, 2), (4, 15, 3)])
+    def test_pool_runs_all_shares_but_the_callers(self, monkeypatch, cpus, n_trials,
+                                                  pool_threads):
+        model, test = self._noisy_setup()
+        made = []
+        real_pool = transceiver.ThreadPoolExecutor
+
+        def spy(max_workers):
+            made.append(max_workers)
+            return real_pool(max_workers)
+
+        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(transceiver, "ThreadPoolExecutor", spy)
+        evaluate_accuracy(np.random.default_rng(50), model, S1, test, n_trials=n_trials)
+        assert made == [pool_threads]
+
+    @pytest.mark.parametrize("cpus, n_trials", [(4, 1), (1, 15)])
+    def test_one_trial_or_one_cpu_starts_no_thread(self, monkeypatch, cpus, n_trials):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        model, test = self._noisy_setup()
+        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(transceiver, "ThreadPoolExecutor", no_pool)
+        evaluate_accuracy(np.random.default_rng(51), model, S1, test, n_trials=n_trials)
+
+    # trial ``bad`` of 4 fails: on the calling thread (its share holds trial 0)
+    # or on a pool thread
+    @pytest.mark.parametrize("cpus, bad", [(1, 2), (2, 0), (2, 3), (4, 0), (4, 3)])
+    def test_error_in_one_trial_reaches_the_caller(self, monkeypatch, cpus, bad):
+        _, test = self._noisy_setup()
+        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        seeds = np.random.default_rng(52).integers(0, 2 ** 63 - 1, size=4)
+
+        def predict(trial_rng):
+            if trial_rng.bit_generator.seed_seq.entropy == seeds[bad]:
+                raise FloatingPointError(f"trial {bad} failed")
+            return test.labels
+
+        raised = []
+
+        def call():
+            try:
+                trial_accuracy(np.random.default_rng(52), test, 4, predict)
+            except FloatingPointError as err:
+                raised.append(str(err))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert raised == [f"trial {bad} failed"]
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert transceiver.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert transceiver.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert transceiver.usable_cpus() == 1
 
 
 class TestWilson:
