@@ -158,10 +158,10 @@ def load_params(path_or_name: str) -> ChannelParams:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"{path_or_name}: unknown parameter(s) {sorted(unknown)}")
-    if "max_molecules" in raw:
-        raw["max_molecules"] = int(raw["max_molecules"])
-    if "memory" in raw:
-        raw["memory"] = int(raw["memory"])
+    for key in sorted(raw.keys() & {"max_molecules", "memory"}):
+        if not raw[key].is_integer():
+            raise ValueError(f"{path_or_name}: {key} must be a whole number, got {raw[key]!r}")
+        raw[key] = int(raw[key])
     return ChannelParams(**raw)  # type: ignore[arg-type]
 
 
@@ -271,16 +271,14 @@ def observe_slot(
     return SlotObservation(count=count, w_rx=w_rx)
 
 
-def normalized_slot_moments(
-    p: ChannelParams, w_curr: float, w_prev_window, t: float | None = None
-) -> tuple[float, float]:
+def normalized_slot_moments(p: ChannelParams, w_curr: float, w_prev_window) -> tuple[float, float]:
     """Closed-form mean and variance of the normalized received symbol w_rx.
 
-    w_rx = count / (max_molecules * P(t)); the count is the sum of the
-    current-slot binomial, the ISI binomials, and the additive noise.
+    w_rx = count / (max_molecules * P(t)) at the observation instant t; the
+    count is the sum of the current-slot binomial, the ISI binomials, and
+    the additive noise.
     """
-    if t is None:
-        t = p.observation_time()
+    t = p.observation_time()
     mean, var = count_moments(p, w_curr, t)
     for i, w_past in enumerate([float(v) for v in w_prev_window][: p.memory], start=1):
         m_i, v_i = count_moments(p, w_past, t + i * p.slot_s)
@@ -291,29 +289,24 @@ def normalized_slot_moments(
     return mean / scale, var / (scale * scale)
 
 
-def observe_frames(
-    rng: np.random.Generator, p: ChannelParams, frames: np.ndarray, t: float | None = None
-) -> np.ndarray:
+def observe_frames(rng: np.random.Generator, p: ChannelParams, frames: np.ndarray) -> np.ndarray:
     """Transmit a (B, k) array of frames over consecutive slots.
 
-    Each row is one frame whose first symbol follows silent slots; slot j
-    of a row has the law of ``observe_slot`` for that symbol with the
-    preceding ones as its ISI window. Returns the (B, k) array of
-    normalized received symbols. Each released batch draws only the branch
-    it takes: a binomial where 0 < mean < GAUSSIAN_COUNT_THRESHOLD, a
-    normal where the mean is at or above it, nothing where it is zero. The
-    draws come in a different order than the scalar path's, so the two
-    give different streams for the same generator.
+    Every slot is observed at ``p.observation_time()``. Each row is one
+    frame whose first symbol follows silent slots; slot j of a row has the
+    law of ``observe_slot`` for that symbol with the preceding ones as its
+    ISI window. Returns the (B, k) array of normalized received symbols.
+    Each released batch draws only the branch it takes: a binomial where
+    0 < mean < GAUSSIAN_COUNT_THRESHOLD, a normal where the mean is at or
+    above it, nothing where it is zero. The draws come in a different order
+    than the scalar path's, so the two give different streams.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
         raise ValueError("frames must be a (batch, symbols) array")
     if frames.size and (frames.min() < 0.0 or frames.max() > 1.0):
         raise ValueError("release fractions outside [0, 1]")
-    if t is None:
-        t = p.observation_time()
-    if not 0 < t <= p.slot_s:
-        raise ValueError(f"observation instant {t} outside (0, slot_s]")
+    t = p.observation_time()
     batch, k = frames.shape
     probs = [capture_probability(p, t + i * p.slot_s) for i in range(p.memory + 1)]
     counts = np.zeros((batch, k))

@@ -22,6 +22,7 @@ os.environ.setdefault("OMP_NUM_THREADS", os.environ.get("MCLINK_BLAS_THREADS", "
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -44,6 +45,13 @@ class UsageError(ValueError):
     """Bad flags, unknown scenarios, or mismatched artifacts."""
 
 
+def integral(value) -> int:
+    """Flag type of an integer; a fraction such as 100.5 is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Count:
     """Flag type of an integer count that must be at least ``minimum``."""
@@ -51,7 +59,7 @@ class Count:
     minimum: int = 1
 
     def __call__(self, value) -> int:
-        number = int(value)
+        number = integral(value)
         if number < self.minimum:
             raise UsageError(f"must be at least {self.minimum}, got {number}")
         return number
@@ -64,13 +72,13 @@ TRAINABLE = Count(2)
 # (name, type, default, help) of each command's flags; ``--n-m`` sets ``n_m``.
 # A flag given explicitly wins over a --config value, which wins over the default.
 SCENARIO = ("scenario", str, "scenario1", "scenario1 | scenario2 | path to a key = value file")
-N_M = ("n_m", int, None, "molecule budget (default: the scenario's)")
+N_M = ("n_m", integral, None, "molecule budget (default: the scenario's)")
 SIGMA_N = ("sigma_n", float, None, "count noise standard deviation (default: the scenario's)")
-COMMON = (("seed", int, 0, "master seed"), ("out", str, "runs", "output directory"))
+COMMON = (("seed", integral, 0, "master seed"), ("out", str, "runs", "output directory"))
 FLAGS = {
     "validate-physics": (
         SCENARIO,
-        ("particles", int, 100_000, "particles in the oracle"),
+        ("particles", integral, 100_000, "particles in the oracle"),
         ("times", str, None, "comma-separated probe times in s (default: the scenario's)"),
     ),
     "sim-sir": (
@@ -88,7 +96,7 @@ FLAGS = {
         SCENARIO,
         N_M,
         SIGMA_N,
-        ("pairs", TRAINABLE, surrogate.FIT_CONFIG.n_pairs, "channel pairs to fit on"),
+        ("pairs", TRAINABLE, surrogate.FIT_PAIRS, "channel pairs to fit on"),
         ("epochs", COUNT, surrogate.FIT_CONFIG.epochs, "maximum epochs"),
         ("export_pairs", bool, False, "also write the pairs to pairs.csv"),
     ),
@@ -209,8 +217,9 @@ def sweep(seed, train_set, test_set, links, n_pairs, epochs, trials):
         def rng(stage):
             return runio.derive_rng(seed, "acceptance", stage, n_m)
 
-        surr, _ = surrogate.fit_channel(
-            rng("fit"), p, replace(surrogate.FIT_CONFIG, n_pairs=n_pairs))
+        fit_rng = rng("fit")
+        pairs = surrogate.generate_pairs(fit_rng, p, n_pairs)
+        surr, _ = surrogate.fit_channel(fit_rng, p, surrogate.FIT_CONFIG, pairs)
         model, _ = transceiver.train_end_to_end(
             rng("train"), train_set, surr, replace(transceiver.TRAIN_CONFIG, epochs=epochs))
         yield (n_m,
@@ -263,7 +272,8 @@ def cmd_sim_sir(params: dict, seed: int) -> int:
         path = out / f"sir_{name}.csv"
         channel.write_sir_csv(path, trace)
         outputs.append(path.name)
-        peak = trace[:, 1][np.isfinite(trace[:, 1])].max()
+        # with no noise and no ISI every sample is inf
+        peak = max(trace[:, 1][np.isfinite(trace[:, 1])], default=math.inf)
         print(f"{name}: {len(trace)} samples, peak SIR {peak:.2f}")
     runio.write_manifest(out, "sim-sir", params, seed, outputs=outputs)
     return EXIT_OK
@@ -283,12 +293,12 @@ def cmd_gen_data(params: dict, seed: int) -> int:
 def cmd_fit_channel(params: dict, seed: int) -> int:
     with _resolving():
         p = _channel_params(params)
-        cfg = replace(surrogate.FIT_CONFIG, n_pairs=params["pairs"], epochs=params["epochs"])
+        cfg = replace(surrogate.FIT_CONFIG, epochs=params["epochs"])
     out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
-    pairs = surrogate.generate_pairs(rng, p, cfg.n_pairs)
+    pairs = surrogate.generate_pairs(rng, p, params["pairs"])
     try:
-        surr, history = surrogate.fit_channel(rng, p, cfg, pairs=pairs)
+        surr, history = surrogate.fit_channel(rng, p, cfg, pairs)
     except nn.TrainingDivergedError as err:
         _write_history(out / "nll_history.csv", err.history)
         raise
@@ -370,7 +380,10 @@ def cmd_sweep(params: dict, seed: int) -> int:
         train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
         train_set = _dataset(train_path, training=True)
         test_set = _dataset(test_path)
-        budgets = [int(float(x)) for x in params["n_m_list"].split(",")]
+        try:
+            budgets = [integral(float(x)) for x in params["n_m_list"].split(",")]
+        except ValueError as err:
+            raise UsageError(f"--n-m-list: {err}") from err
         links = [(n_m, _channel_params({**params, "n_m": n_m})) for n_m in budgets]
 
     rows = []

@@ -573,7 +573,6 @@ class TrainConfig:
     min_lr: float | None = None      # floor the rate halves down to; None: lr itself
     plateau_window: int = 5          # epochs at the floor the best must improve over
     clip_norm: float | None = None   # global gradient-norm ceiling; None: no clipping
-    n_pairs: int = 0                 # channel pairs a surrogate fit draws for itself
 
 
 def train(rng: np.random.Generator, params, n_rows: int,

@@ -270,23 +270,23 @@ class ChannelSurrogate:
 
 
 FIT_CONFIG = nn.TrainConfig(epochs=150, batch_size=256, lr=5e-3, min_lr=1e-5,
-                            plateau_window=5, clip_norm=5.0, n_pairs=50_000)
+                            plateau_window=5, clip_norm=5.0)
+FIT_PAIRS = 50_000      # channel pairs ``mclink fit-channel`` fits on by default
 
 
 def fit_channel(
     rng: np.random.Generator,
     p: ChannelParams,
-    cfg: nn.TrainConfig = FIT_CONFIG,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    cfg: nn.TrainConfig,
+    pairs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[ChannelSurrogate, dict]:
-    """Fit the mixture net by NLL on ``pairs`` (drawn if None) and freeze it.
+    """Fit the mixture net by NLL on ``pairs``, drawn for link ``p`` by
+    :func:`generate_pairs`, and freeze it.
 
     The first tenth of the pairs validates. The loss stiffens as the
     variances shrink, hence the rate decay and gradient clipping. Returns
     the surrogate and :func:`nn.train`'s history (``train_nll``/``val_nll``).
     """
-    if pairs is None:
-        pairs = generate_pairs(rng, p, cfg.n_pairs)
     contexts, targets = pairs
     n_val = max(1, int(len(targets) * nn.VAL_FRACTION))
     val_ctx, val_tgt = contexts[:n_val], targets[:n_val]

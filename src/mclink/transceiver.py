@@ -162,15 +162,11 @@ def transmit_train(
 
 
 def transmit_eval(
-    rng: np.random.Generator,
-    model: SemanticModel,
-    p: ChannelParams,
-    w: np.ndarray,
-    t: float | None = None,
+    rng: np.random.Generator, model: SemanticModel, p: ChannelParams, w: np.ndarray
 ) -> np.ndarray:
     """Class probabilities for release fractions ``w`` (B, k) sent through
     the real slot sampler (no gradients)."""
-    w_rx = observe_frames(rng, p, w, t)
+    w_rx = observe_frames(rng, p, w)
     return model.decoder.forward(Tensor(w_rx)).data
 
 

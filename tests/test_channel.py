@@ -84,6 +84,22 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="warp_factor"):
             channel.load_params(str(path))
 
+    @pytest.mark.parametrize("line", ["max_molecules = 100.5", "memory = 1.7"])
+    def test_params_file_rejects_fractional_integers(self, tmp_path, line):
+        path = tmp_path / "frac.cfg"
+        channel.save_params(path, S1)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="whole number"):
+            channel.load_params(str(path))
+
+    def test_params_file_accepts_integral_floats(self, tmp_path):
+        path = tmp_path / "whole.cfg"
+        channel.save_params(path, S1)
+        path.write_text(path.read_text() + "max_molecules = 100.0\nmemory = 2.0\n")
+        p = channel.load_params(str(path))
+        assert (p.max_molecules, p.memory) == (100, 2)
+        assert type(p.max_molecules) is int and type(p.memory) is int
+
 
 class TestCaptureProbability:
     def test_scenario1_point_values(self):

@@ -117,6 +117,13 @@ class TestSimSir:
                         "--dt", 0.05]) == EXIT_OK
         assert (a / "sir_scenario1.csv").read_bytes() == (b / "sir_scenario1.csv").read_bytes()
 
+    def test_no_finite_sample_prints_an_infinite_peak(self, tmp_path, capsys):
+        # no noise and no predecessor to interfere: every sample is inf
+        assert run(["sim-sir", "--out", tmp_path, "--symbols", 1, "--sigma-n", 0]) == EXIT_OK
+        assert {"sir_scenario1.csv", "sir_scenario2.csv", "manifest.json"} <= set(
+            os.listdir(tmp_path))
+        assert capsys.readouterr().out.count("peak SIR inf") == 2
+
 
 class TestGenData:
     def test_containers_loadable_and_deterministic(self, tmp_path):
@@ -251,8 +258,9 @@ class TestSweep:
         assert [n_m for n_m, _, _ in rows] == list(budgets)
         assert rows == list(cli.sweep(11, train, test, links, 400, 1, 1))
         out = tmp_path / "sweep"
+        # whole budgets written as floats name the same links
         assert run(["sweep", "--seed", 11, "--out", out, "--data", pipeline / "data",
-                    "--n-m-list", "20000,300", "--pairs", 400, "--epochs", 1,
+                    "--n-m-list", "2e4,300.0", "--pairs", 400, "--epochs", 1,
                     "--trials", 1]) == EXIT_OK
         written = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert [(int(n_m), method, *map(float, stats)) for n_m, method, *stats in written] == [
@@ -300,6 +308,39 @@ class TestExitCodes:
             assert run(argv) == EXIT_USAGE
             assert f"--{flag}" in capsys.readouterr().err
             assert list(out.iterdir()) == []     # rejected before any work or manifest
+
+    @pytest.mark.parametrize("config", [{"n_m": 100.5}, {"symbols": 2.9},
+                                        {"n_m": 100.5, "symbols": 2.9}, {"seed": 0.5}])
+    def test_fractional_integer_in_config_is_usage_error(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["sim-sir", "--config", path, "--out", out]) == EXIT_USAGE
+        assert "whole number" in capsys.readouterr().err
+        assert list(out.glob("*")) == []     # a bad seed fails before out is made
+
+    def test_integral_floats_in_config_are_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_m": 100.0, "symbols": 2.0, "dt": 0.5}))
+        assert run(["sim-sir", "--config", path, "--out", tmp_path]) == EXIT_OK
+        params = load_manifest(tmp_path / "manifest.json")["params"]
+        assert (params["n_m"], params["symbols"]) == (100, 2)
+        assert len((tmp_path / "sir_scenario1.csv").read_text().splitlines()) == 1 + 2 * 8
+
+    def test_fractional_integer_in_params_file_is_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "link.cfg"
+        text = self.OVERDRIVEN.replace("max_molecules = 100", "max_molecules = 100.5")
+        scenario.write_text(text)
+        out = tmp_path / "out"
+        assert run(["fit-channel", "--scenario", scenario, "--out", out]) == EXIT_USAGE
+        assert "whole number" in capsys.readouterr().err
+
+    def test_fractional_budget_in_list_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["sweep", "--data", pipeline / "data", "--n-m-list", "20000,100.5",
+                    "--out", out]) == EXIT_USAGE
+        assert "--n-m-list" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_one_training_image_is_usage_error(self, pipeline, tmp_path, capsys, command):

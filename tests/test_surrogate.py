@@ -430,7 +430,7 @@ class TestChannelSurrogate:
 def fitted_surrogate():
     rng = np.random.default_rng(12)
     pairs = generate_pairs(rng, S1, 12_000)
-    surr, history = fit_channel(rng, S1, replace(FIT_CONFIG, n_pairs=12_000), pairs=pairs)
+    surr, history = fit_channel(rng, S1, FIT_CONFIG, pairs=pairs)
     return surr, history, pairs
 
 

@@ -71,7 +71,7 @@ def small_model():
 def frozen_surrogate():
     rng = np.random.default_rng(1)
     pairs = generate_pairs(rng, S1, 6000)
-    surr, _ = fit_channel(rng, S1, replace(FIT_CONFIG, n_pairs=6000), pairs=pairs)
+    surr, _ = fit_channel(rng, S1, FIT_CONFIG, pairs=pairs)
     return surr
 
 
