@@ -87,6 +87,32 @@ def ref_transmit_images(rng, p, images):
                      for row in detected])
 
 
+# The ids keep the grid of block sides, bits per pixel and channel codes the
+# codec once offered. The one codec has none of those settings, so each case
+# now names the inputs it runs on: images constant over ds x ds blocks with
+# levels on the bpp-bit grid, and the bit errors the named code corrected,
+# put between channel_encode and channel_decode -- none, one flip in every
+# 3-bit group (beyond what Hamming(7,4) corrects) or one in every 7-bit block.
+CODEC_GRID = list(itertools.product((1, 2, 4, 8), (1, 3, 8),
+                                    ("none", "repetition_3", "hamming_7_4")))
+
+
+def grid_images(rng, ds, bpp, n=8):
+    levels = rng.integers(0, 1 << bpp, size=(n, 16 // ds, 16 // ds)) / ((1 << bpp) - 1)
+    return np.repeat(np.repeat(levels, ds, axis=1), ds, axis=2).reshape(n, 256)
+
+
+def bit_errors(rng, code, shape):
+    errors = np.zeros(shape, dtype=np.uint8)
+    group = {"none": 0, "repetition_3": 3, "hamming_7_4": 7}[code]
+    if group:
+        whole = shape[1] // group * group
+        hit = rng.integers(0, group, size=(shape[0], shape[1] // group))
+        view = errors[:, :whole].reshape(shape[0], -1, group)
+        np.put_along_axis(view, hit[..., None], 1, axis=2)
+    return errors
+
+
 class TestCodecConfig:
     # the codec has no settings: each one the config once validated is refused
     @pytest.mark.parametrize("bad", [
@@ -131,6 +157,22 @@ class TestSourceCodec:
         assert np.array_equal(recon, want)
         # lossless on images that are already on the codec's grid
         assert np.array_equal(source_decode(source_encode(want.reshape(-1))), want.reshape(-1))
+
+    def test_lossless_at_8bit_on_8bit_grid(self):
+        # 8-bit images (levels k/255) whose 4x4 blocks each hold level 0 or 255
+        # come back exactly; any other block comes back as its rounded mean,
+        # except at an exact tie (sum 2040), where the float mean may land
+        # on either side
+        rng = np.random.default_rng(2)
+        levels = 255 * rng.integers(0, 2, size=(8, 4, 4))
+        img = np.repeat(np.repeat(levels, 4, axis=1), 4, axis=2).reshape(8, 256) / 255.0
+        assert np.array_equal(source_decode(source_encode(img)), img)
+        levels = rng.integers(0, 256, size=(64, 256))
+        sums = levels.reshape(64, 4, 4, 4, 4).sum(axis=(2, 4)).reshape(64, 16)
+        bits = source_encode(levels / 255.0)
+        off_tie = 2 * sums != 16 * 255
+        assert off_tie.mean() > 0.9
+        assert np.array_equal(bits[off_tie], (2 * sums > 16 * 255)[off_tie])
 
     def test_non_divisible_dims_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -183,9 +225,12 @@ class TestChannelCodes:
 
 
 class TestBatchCodec:
-    def test_batch_equals_per_image_reference(self):
+    @pytest.mark.parametrize("ds,bpp,code", CODEC_GRID,
+                             ids=[f"ds{ds}-bpp{bpp}-{code}" for ds, bpp, code in CODEC_GRID])
+    def test_batch_equals_per_image_reference(self, ds, bpp, code):
         rng = np.random.default_rng(40)
-        images = np.vstack([make_dataset(rng, 12).images, rng.uniform(size=(4, 256))])
+        images = np.vstack([make_dataset(rng, 12).images, rng.uniform(size=(4, 256)),
+                            grid_images(rng, ds, bpp)])
         src = source_encode(images)
         assert np.array_equal(src, np.stack([ref_source_encode(im) for im in images]))
         coded = channel_encode(src)
@@ -193,12 +238,22 @@ class TestBatchCodec:
         noisy = coded ^ (rng.uniform(size=coded.shape) < 0.1).astype(np.uint8)
         decoded = channel_decode(noisy)
         assert np.array_equal(decoded, np.stack([ref_channel_decode(b) for b in noisy]))
+        hit = coded ^ bit_errors(rng, code, coded.shape)
+        assert np.array_equal(channel_decode(hit), np.stack([ref_channel_decode(b) for b in hit]))
+        # at most one error per block is always corrected; one per 3-bit group is not
+        corrected = np.array_equal(channel_decode(hit)[:, :src.shape[1]], src)
+        assert corrected == (code != "repetition_3")
         recon = source_decode(decoded[:, :src.shape[1]])
         assert np.array_equal(recon, np.stack([ref_source_decode(b[:src.shape[1]])
                                                for b in decoded]))
         assert np.array_equal(clean_reconstructions(images),
                               np.stack([ref_source_decode(ref_source_encode(im))
                                         for im in images]))
+        if ds % DS == 0:
+            # whole codec blocks of one level come back rounded to a bit, so
+            # losslessly when the levels are already bits
+            on_grid = images[-8:]
+            assert np.array_equal(clean_reconstructions(on_grid), np.round(on_grid))
         # one image or bitstream in, one out
         assert source_encode(images[0]).shape == src[0].shape
         assert channel_encode(src[0]).shape == coded[0].shape
