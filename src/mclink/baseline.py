@@ -29,7 +29,7 @@ from . import nn
 from .channel import ChannelParams, capture_probability, observe_frames
 from .dataset import Dataset, one_hot
 from .nn import DenseNet, Tensor
-from .transceiver import trial_accuracy
+from .transceiver import standardization_stats, trial_accuracy
 
 DOWNSAMPLE = 4      # block side of the source codec's averaging
 
@@ -159,8 +159,7 @@ def train_baseline_classifier(
     """Fit the reconstruction classifier on channel-free codec output, all epochs."""
     shape = (train_set.height, train_set.width)
     recon = clean_reconstructions(train_set.images, shape)
-    mean = recon.mean(axis=0)
-    std = np.maximum(recon.std(axis=0), 1e-6)
+    mean, std = standardization_stats(recon)
     x = (recon - mean) / std
     num_classes = train_set.num_classes
     net = DenseNet([x.shape[1], 64, 32, num_classes],

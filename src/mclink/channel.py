@@ -29,6 +29,8 @@ from dataclasses import dataclass, replace, fields
 
 import numpy as np
 
+from . import runio
+
 # Below this expected count the slot sampler draws the exact binomial;
 # above it the Gaussian approximation is used.
 GAUSSIAN_COUNT_THRESHOLD = 30.0
@@ -370,17 +372,15 @@ def sir_trace(p: ChannelParams, w_seq, dt: float) -> np.ndarray:
 
 
 def write_sir_csv(path, trace: np.ndarray) -> None:
-    """Export a SIR trace as CSV with linear and dB columns."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_s,sir,sir_db\n")
-        for t_global, sir in trace:
-            if sir == 0.0:
-                db = "-inf"
-            elif math.isinf(sir):
-                db = "inf"
-            else:
-                db = repr(10.0 * math.log10(sir))
-            fh.write(f"{float(t_global)!r},{float(sir)!r},{db}\n")
+    """Export a SIR trace as CSV with linear and dB columns (-inf dB at a SIR
+    of 0, inf at an infinite one)."""
+    def decibels(sir: float) -> float:
+        if sir == 0.0:
+            return -math.inf
+        return sir if math.isinf(sir) else 10.0 * math.log10(sir)
+
+    runio.write_csv(path, ["t_s", "sir", "sir_db"],
+                    ((t_global, sir, decibels(sir)) for t_global, sir in trace.tolist()))
 
 
 def with_overrides(p: ChannelParams, **kwargs) -> ChannelParams:

@@ -381,9 +381,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
 
 
 def apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
-    """The activation ``tag`` applied to an array: the forward step of ``dense``."""
-    if tag not in _ACTIVATION_FORMS:
-        raise ValueError(f"unknown activation {tag!r}; expected one of {ACTIVATIONS}")
+    """The activation ``tag`` applied to an array: the forward step of ``dense``.
+    A net's tags are checked when it is built."""
     return _ACTIVATION_FORMS[tag][0](z)
 
 
@@ -415,37 +414,41 @@ def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
 
 
 class DenseNet:
-    """Stack of affine layers, each with one of the four activation tags."""
+    """Stack of affine layers, each with one of the four activation tags.
 
-    def __init__(self, dims, activations, rng: np.random.Generator | None = None):
-        dims = list(dims)
-        activations = list(activations)
-        if len(activations) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
-        for tag in activations:
-            if tag not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {tag!r}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.dims = dims
-        self.activations = activations
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+    ``DenseNet(dims, activations, rng)`` draws Glorot-uniform weights and zero
+    biases; :meth:`from_arrays` takes given ones. Both set the layers through
+    one checked initializer, so every net holds one known tag per layer.
+    """
+
+    def __init__(self, dims, activations, rng: np.random.Generator):
+        weights = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        self._set_layers(weights, [np.zeros(w.shape[1]) for w in weights], activations)
 
     @classmethod
     def from_arrays(cls, weights, biases, activations) -> "DenseNet":
-        dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
         net = cls.__new__(cls)
-        net.dims = dims
-        net.activations = list(activations)
-        net.weights = [Tensor(np.array(w, dtype=np.float64), requires_grad=True) for w in weights]
-        net.biases = [Tensor(np.array(b, dtype=np.float64), requires_grad=True) for b in biases]
+        net._set_layers(weights, biases, activations)
         return net
+
+    def _set_layers(self, weights, biases, activations) -> None:
+        """Check and copy the layers, one weight, bias and known tag each;
+        ``dims`` follows from the weights."""
+        activations = list(activations)
+        if not weights or not len(weights) == len(biases) == len(activations):
+            raise ValueError(
+                f"need one weight, bias and activation per layer; got {len(weights)} "
+                f"weights, {len(biases)} biases and {len(activations)} activations")
+        unknown = [tag for tag in activations if tag not in _ACTIVATION_FORMS]
+        if unknown:
+            raise ValueError(f"unknown activation {unknown[0]!r}; expected one of {ACTIVATIONS}")
+        self.dims = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+        self.activations = activations
+        self.weights = [Tensor(np.array(w, dtype=np.float64), requires_grad=True) for w in weights]
+        self.biases = [Tensor(np.array(b, dtype=np.float64), requires_grad=True) for b in biases]
 
     def forward(self, x) -> Tensor:
         """One fused ``dense`` node per layer; accepts (B, d) or (d,) input."""
@@ -731,8 +734,10 @@ def save_checkpoint(path, role: str, nets: dict[str, DenseNet], meta: dict | Non
 def load_checkpoint(path, expect_role: str | None = None):
     """Read a checkpoint; returns (role, nets, meta).
 
-    Rejects unknown magic bytes, version mismatches, truncated payloads,
-    and (when ``expect_role`` is given) checkpoints saved for another role.
+    Rejects unknown magic bytes, version mismatches, truncated payloads, a
+    net whose tag list fails :class:`DenseNet`'s checks (one known tag per
+    layer), and (when ``expect_role`` is given) checkpoints saved for another
+    role, each as a CheckpointError that names the file.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -758,5 +763,8 @@ def load_checkpoint(path, expect_role: str | None = None):
                     raise CheckpointError(f"{path}: truncated parameter payload")
                 weights.append(np.frombuffer(w_bytes, dtype="<f8").reshape(fan_in, fan_out))
                 biases.append(np.frombuffer(b_bytes, dtype="<f8"))
-            nets[name] = DenseNet.from_arrays(weights, biases, spec["activations"])
+            try:
+                nets[name] = DenseNet.from_arrays(weights, biases, spec["activations"])
+            except ValueError as err:
+                raise CheckpointError(f"{path}: net {name!r}: {err}") from err
     return role, nets, header["meta"]

@@ -24,12 +24,12 @@ seeded as SeedSequence((seed, shard)).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import runio
 from .channel import ChannelParams, capture_probability
 
 SHARD_SIZE = 20_000
@@ -154,16 +154,10 @@ def write_capture_csv(path, curve, cfg: ParticleSimConfig, p: ChannelParams) -> 
     The trailing ``p_exact`` column is :func:`exact_presence` at each probe,
     which shows where the point formula, not the oracle, is off.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t_s,p_empirical,p_analytic,rel_err,p_exact\n")
-        for t, emp, analytic, rel in curve:
-            exact = exact_presence(p, t)
-            fh.write(f"{float(t)!r},{float(emp)!r},{float(analytic)!r},{float(rel)!r},"
-                     f"{exact!r}\n")
-    meta = {"config": asdict(cfg), "channel": asdict(p)}
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    runio.write_csv(path, ["t_s", "p_empirical", "p_analytic", "rel_err", "p_exact"],
+                    ((t, emp, analytic, rel, exact_presence(p, t))
+                     for t, emp, analytic, rel in curve))
+    runio.write_json(f"{path}.meta.json", {"config": asdict(cfg), "channel": asdict(p)})
 
 
 def displacement_moments(

@@ -1,4 +1,4 @@
-"""Run bookkeeping: seed derivation, deterministic CSV output, manifests.
+"""Run bookkeeping: seed derivation, deterministic CSV and JSON output, manifests.
 
 Every stage of the pipeline draws its randomness from one explicit
 top-level seed. Purpose-specific streams are derived by hashing string
@@ -61,6 +61,13 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(fmt_cell(v) for v in row) + "\n")
 
 
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON: indent 2, sorted keys, '\\n' newlines, one at the end."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -85,9 +92,7 @@ def write_manifest(out_dir, command: str, params: dict, seed: int,
         "outputs": list(outputs or []),
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, manifest)
     return path
 
 

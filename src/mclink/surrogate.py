@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from . import nn
+from . import nn, runio
 from .channel import ChannelParams, observe_frames
 from .nn import DenseNet, Tensor
 
@@ -99,16 +99,14 @@ def generate_pairs(
 
 def write_pairs_csv(path, pairs: tuple[np.ndarray, np.ndarray]) -> None:
     contexts, targets = pairs
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("w_curr,w_prev,w_rx\n")
-        for (w_curr, w_prev), w_rx in zip(contexts.tolist(), targets.tolist()):
-            fh.write(f"{w_curr!r},{w_prev!r},{w_rx!r}\n")
+    runio.write_csv(path, ["w_curr", "w_prev", "w_rx"],
+                    ((w_curr, w_prev, w_rx) for (w_curr, w_prev), w_rx
+                     in zip(contexts.tolist(), targets.tolist())))
 
 
-def build_mdn_net(rng: np.random.Generator, hidden: int = HIDDEN_WIDTH,
-                  h: int = COMPONENTS) -> DenseNet:
-    """Five dense layers from (w_curr, w_prev) to the 3h mixture outputs."""
-    dims = [2] + [hidden] * (MDN_LAYERS - 1) + [3 * h]
+def build_mdn_net(rng: np.random.Generator, hidden: int = HIDDEN_WIDTH) -> DenseNet:
+    """Five dense layers from (w_curr, w_prev) to the 3h mixture outputs, h = COMPONENTS."""
+    dims = [2] + [hidden] * (MDN_LAYERS - 1) + [3 * COMPONENTS]
     activations = ["leaky_relu"] * (MDN_LAYERS - 1) + ["identity"]
     return DenseNet(dims, activations, rng=rng)
 
@@ -190,13 +188,12 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
 def sample_surrogate(
     rng: np.random.Generator | None,
     raw: Tensor,
-    h: int = COMPONENTS,
     frozen_noise: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
 
     ``raw`` holds (rows, 3h) outputs, split as :func:`mdn_forward` splits
-    them. The component index is drawn from pi (``rng.random``, then
+    them, so h is a third of its width. The component index is drawn from pi (``rng.random``, then
     ``rng.standard_normal`` for eps) and treated as a constant; gradients
     flow through the selected mean and variance only. ``frozen_noise`` =
     (component index, standard-normal eps) replays fixed draws, e.g. for
@@ -204,7 +201,7 @@ def sample_surrogate(
     softmax, clip, exp, row pick, sqrt and affine draw composed.
     """
     x = raw.data
-    n = x.shape[0]
+    n, h = x.shape[0], x.shape[1] // 3
     if frozen_noise is None:
         if rng is None:
             raise ValueError("need an rng when no frozen noise is supplied")
@@ -240,13 +237,20 @@ class ChannelSurrogate:
     """Trained mixture-density channel."""
 
     net: DenseNet
-    h: int = COMPONENTS
-    frozen: bool = False
     channel: dict = field(default_factory=dict)   # provenance echo
+
+    @property
+    def h(self) -> int:
+        """Mixture components: a third of the net's (pi, mu, log-variance) outputs."""
+        return self.net.dims[-1] // 3
+
+    @property
+    def frozen(self) -> bool:
+        """True once no parameter of the net takes a gradient."""
+        return not any(t.requires_grad for t in self.net.parameters())
 
     def freeze(self) -> "ChannelSurrogate":
         self.net.set_requires_grad(False)
-        self.frozen = True
         return self
 
     def sample_tensor(
@@ -256,17 +260,17 @@ class ChannelSurrogate:
         frozen_noise=None,
     ) -> Tensor:
         """Per-row received-symbol draw with a gradient path into ``ctx``."""
-        return sample_surrogate(rng, self.net.forward(ctx), self.h, frozen_noise=frozen_noise)
+        return sample_surrogate(rng, self.net.forward(ctx), frozen_noise=frozen_noise)
 
     def save(self, path) -> None:
+        # h stays in the header for its readers; load takes it from the net
         meta = {"h": self.h, "channel": self.channel}
         nn.save_checkpoint(path, SURROGATE_ROLE, {"mdn": self.net}, meta)
 
     @classmethod
     def load(cls, path) -> "ChannelSurrogate":
         _, nets, meta = nn.load_checkpoint(path, expect_role=SURROGATE_ROLE)
-        surr = cls(net=nets["mdn"], h=int(meta["h"]), channel=meta.get("channel", {}))
-        return surr.freeze()
+        return cls(net=nets["mdn"], channel=meta.get("channel", {})).freeze()
 
 
 FIT_CONFIG = nn.TrainConfig(epochs=150, batch_size=256, lr=5e-3, min_lr=1e-5,
@@ -297,7 +301,7 @@ def fit_channel(
         rng, net.parameters(), len(tr_tgt),
         lambda rows: mdn_nll(net, (tr_ctx[rows], tr_tgt[rows])), cfg,
         validate=lambda: float(mdn_nll(net, (val_ctx, val_tgt)).data), loss_name="nll")
-    surrogate = ChannelSurrogate(net=net, h=COMPONENTS, channel={"params": asdict(p)})
+    surrogate = ChannelSurrogate(net=net, channel={"params": asdict(p)})
     return surrogate.freeze(), history
 
 

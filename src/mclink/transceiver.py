@@ -49,11 +49,19 @@ class SemanticModel:
     encoder: DenseNet
     quantizer: DenseNet
     decoder: DenseNet
-    symbols: int
-    num_classes: int
     image_shape: tuple[int, int, int]
     input_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
     input_std: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def symbols(self) -> int:
+        """Slots per frame, k: the encoder's output width."""
+        return self.encoder.dims[-1]
+
+    @property
+    def num_classes(self) -> int:
+        """The decoder's output width."""
+        return self.decoder.dims[-1]
 
     def parameters(self) -> list[Tensor]:
         return (self.encoder.parameters() + self.quantizer.parameters()
@@ -63,6 +71,8 @@ class SemanticModel:
         return (np.asarray(images, dtype=float) - self.input_mean) / self.input_std
 
     def save(self, path) -> None:
+        # k and num_classes stay in the header for its readers; load takes
+        # them from the nets
         meta = {
             "k": self.symbols,
             "num_classes": self.num_classes,
@@ -78,7 +88,6 @@ class SemanticModel:
         _, nets, meta = nn.load_checkpoint(path, expect_role=SEMANTIC_ROLE)
         return cls(
             encoder=nets["encoder"], quantizer=nets["quantizer"], decoder=nets["decoder"],
-            symbols=int(meta["k"]), num_classes=int(meta["num_classes"]),
             image_shape=tuple(meta["image_shape"]),
             input_mean=np.array(meta["input_mean"], dtype=float),
             input_std=np.array(meta["input_std"], dtype=float),
@@ -105,8 +114,7 @@ def build_semantic_model(
     if input_std is None:
         input_std = np.ones(d)
     return SemanticModel(
-        encoder=encoder, quantizer=quantizer, decoder=decoder,
-        symbols=symbols, num_classes=num_classes, image_shape=image_shape,
+        encoder=encoder, quantizer=quantizer, decoder=decoder, image_shape=image_shape,
         input_mean=np.asarray(input_mean, dtype=float),
         input_std=np.asarray(input_std, dtype=float),
     )

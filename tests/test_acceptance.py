@@ -203,7 +203,7 @@ class TestCriterion4:
             encoder=DenseNet([6, 5, 4, 4, 4, 3], ["leaky_relu"] * 4 + ["identity"], rng=rng),
             quantizer=DenseNet([3, 4, 4, 3], ["leaky_relu"] * 2 + ["sigmoid"], rng=rng),
             decoder=DenseNet([3, 4, 4, 2], ["leaky_relu"] * 2 + ["softmax"], rng=rng),
-            symbols=3, num_classes=2, image_shape=(6, 1, 1),
+            image_shape=(6, 1, 1),
             input_mean=np.zeros(6), input_std=np.ones(6),
         )
         surr = ChannelSurrogate(net=build_mdn_net(rng, hidden=5)).freeze()

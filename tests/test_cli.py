@@ -12,8 +12,8 @@ import pytest
 from mclink import baseline, channel, cli, surrogate, transceiver
 from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, FLAGS, main
 from mclink.dataset import load_dataset, make_dataset, save_dataset
-from mclink.nn import Tensor, load_checkpoint
-from mclink.runio import load_manifest
+from mclink.nn import Tensor, load_checkpoint, save_checkpoint
+from mclink.runio import load_manifest, sha256_file
 
 FAST_PHYSICS = ["--particles", "20000", "--times", "1.0,1.2585"]
 
@@ -96,6 +96,33 @@ class TestValidatePhysics:
         assert (replay / "capture_scenario1.csv").read_bytes() == \
                (fresh / "capture_scenario1.csv").read_bytes()
         assert "dt" not in load_manifest(replay / "manifest.json")["params"]
+
+
+    def test_failing_probes_are_named_distinctly(self, tmp_path, capsys, monkeypatch):
+        # a stubbed curve that breaches at two probes 0.0004 s apart; the
+        # oracle's own curve passes at these sizes
+        def curve(cfg, p):
+            return [(t, 0.0, channel.capture_probability(p, t), 0.2 if t in (1.4998, 1.5002)
+                     else 0.01) for t in cfg.record_times]
+
+        monkeypatch.setattr(cli.particle, "empirical_capture_curve", curve)
+        code = run(["validate-physics", "--scenario", "scenario2", "--out", tmp_path])
+        assert code == EXIT_TOLERANCE
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == ("FAIL: 2/3 probe(s) exceed 15% relative error: "
+                             "['1.4998s', '1.5002s']")
+        assert sum("(checked)" in line for line in lines) == 3
+
+    def test_probe_grid_without_a_checkable_probe_is_usage_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def oracle(cfg, p):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli.particle, "empirical_capture_curve", oracle)
+        code = run(["validate-physics", "--times", "30", "--out", tmp_path])
+        assert code == EXIT_USAGE
+        assert "none can be checked" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimSir:
@@ -365,6 +392,56 @@ class TestExitCodes:
         assert "(8, 8, 1)" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("gen-data", {"train_count": True}),
+        ("sim-sir", {"dt": True}),
+        ("fit-channel", {"export_pairs": "false", "pairs": 10, "epochs": 1}),
+    ])
+    def test_config_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys,
+                                                                 command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run([command, "--config", path, "--out", out]) == EXIT_USAGE
+        flag = "--" + next(iter(config)).replace("_", "-")
+        assert flag in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_numeric_strings_and_json_booleans_in_config_are_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n_m": "300", "dt": "0.5", "symbols": "2"}))
+        assert run(["sim-sir", "--config", path, "--out", tmp_path / "sir"]) == EXIT_OK
+        params = load_manifest(tmp_path / "sir" / "manifest.json")["params"]
+        assert (params["n_m"], params["dt"], params["symbols"]) == (300, 0.5, 2)
+        path.write_text(json.dumps({"export_pairs": False, "pairs": 10, "epochs": 1}))
+        assert run(["fit-channel", "--config", path, "--out", tmp_path / "fit"]) == EXIT_OK
+        assert not (tmp_path / "fit" / "pairs.csv").exists()
+
+    @pytest.mark.parametrize("tags", [["leaky_relu", "leaky_relu"],
+                                      ["leaky_relu", "leaky_relu", "softmax2"]])
+    def test_checkpoint_with_a_bad_tag_list_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                           tags):
+        role, nets, meta = load_checkpoint(pipeline / "model" / "semantic.ckpt")
+        nets["decoder"].activations = tags
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, role, nets, meta)
+        out = tmp_path / "out"
+        assert run(["eval", "--out", out, "--data", pipeline / "data",
+                    "--model", bad]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'decoder'" in err and "activation" in err
+        assert list(out.iterdir()) == []
+
+    def test_model_with_fewer_classes_than_the_test_set_is_usage_error(self, pipeline,
+                                                                      tmp_path, capsys):
+        model = transceiver.build_semantic_model(np.random.default_rng(0), num_classes=3)
+        model.save(tmp_path / "three.ckpt")
+        out = tmp_path / "out"
+        assert run(["eval", "--out", out, "--data", pipeline / "data",
+                    "--model", tmp_path / "three.ckpt"]) == EXIT_USAGE
+        assert "4 classes" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_invalid_approximation_mid_run_is_runtime_failure(self, tmp_path, capsys):
         link = tmp_path / "link.txt"
         link.write_text(self.OVERDRIVEN)
@@ -414,6 +491,28 @@ class TestExitCodes:
                     "--n-m-list", "20000", "--trials", 1])
         assert code == EXIT_RUNTIME
         assert "diverged" in capsys.readouterr().err
+
+
+class TestOutputBytes:
+    # outputs whose bytes involve no BLAS product and no SIMD exp, so they
+    # are the same on every CPU; checkpoints, histories and metrics are not
+    SHA256 = {
+        "data/train.ds": "92ccbc37e409df6ebb54bc6cea26398786b6adeb4b6f6760e4c7e8936f7b09ee",
+        "data/test.ds": "87b91bce43e514b077d997a78fba9813b65310b36b1003556c1eece07a7f586f",
+        "sir/sir_scenario1.csv":
+            "e43d2022942014c9f110456528cf7f6c80b8ae89e1f01b3985925e6e167e9e4e",
+        "sir/sir_scenario2.csv":
+            "f69f04735683a6c07b022da41ba0af71da5cd7667d131a2610ba41aea39b311b",
+        "fit/pairs.csv": "3098129d8daaf1b4ed1c30f3a75ec8a34421122b74455ca92a40267bac7c0848",
+    }
+
+    def test_fixed_seed_outputs_keep_their_sha256(self, tmp_path):
+        assert run(["gen-data", "--seed", 3, "--out", tmp_path / "data",
+                    "--train-count", 600, "--test-count", 200]) == EXIT_OK
+        assert run(["sim-sir", "--seed", 3, "--out", tmp_path / "sir"]) == EXIT_OK
+        assert run(["fit-channel", "--seed", 3, "--out", tmp_path / "fit", "--n-m", 1000,
+                    "--pairs", 3000, "--epochs", 1, "--export-pairs"]) == EXIT_OK
+        assert {name: sha256_file(tmp_path / name) for name in self.SHA256} == self.SHA256
 
 
 class TestModuleEntry:

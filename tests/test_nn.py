@@ -595,6 +595,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("tags, message", [
+        (["leaky_relu"], "one weight, bias and activation per layer"),   # one tag short
+        (["leaky_relu", "softmax2"], "unknown activation 'softmax2'"),
+    ])
+    def test_rejects_a_bad_tag_list_naming_the_file(self, tmp_path, tags, message):
+        net = self._net()
+        net.activations = tags
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "demo_role", {"net": net}, {})
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and "'net'" in str(info.value)
+
     def test_multi_net_order_preserved(self, tmp_path):
         nets = {"b_net": self._net(1), "a_net": self._net(2)}
         path = tmp_path / "pair.ckpt"
@@ -621,3 +634,25 @@ class TestDenseNetConstruction:
     def test_activation_count_must_match(self):
         with pytest.raises(ValueError):
             DenseNet([2, 2, 2], ["identity"], rng=np.random.default_rng(0))
+
+    def test_rng_is_required(self):
+        with pytest.raises(TypeError):
+            DenseNet([2, 2], ["identity"])
+
+    @pytest.mark.parametrize("weights, biases, tags, message", [
+        ([np.eye(2)] * 2, [np.zeros(2)] * 2, ["identity"], "per layer"),
+        ([np.eye(2)] * 2, [np.zeros(2)], ["identity"] * 2, "per layer"),
+        ([np.eye(2)], [np.zeros(2)], ["relu6"], "unknown activation"),
+        ([], [], [], "per layer"),
+    ])
+    def test_from_arrays_checks_its_layers(self, weights, biases, tags, message):
+        with pytest.raises(ValueError, match=message):
+            DenseNet.from_arrays(weights, biases, tags)
+
+    def test_from_arrays_copies_and_reads_dims(self):
+        w = np.ones((3, 2))
+        net = DenseNet.from_arrays([w, np.eye(2)], [np.zeros(2)] * 2, ("leaky_relu", "softmax"))
+        w[0, 0] = 5.0
+        assert net.weights[0].data[0, 0] == 1.0
+        assert net.dims == [3, 2, 2] and net.activations == ["leaky_relu", "softmax"]
+        assert all(t.requires_grad for t in net.parameters())

@@ -377,7 +377,7 @@ class TestFusedHeads:
             got_raw = Tensor(data.copy(), requires_grad=True)
             want_raw = Tensor(data.copy(), requires_grad=True)
             got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = sample_surrogate(got_rng, got_raw, h, frozen_noise=noise)
+            got = sample_surrogate(got_rng, got_raw, frozen_noise=noise)
             want = ref_sample(want_rng, want_raw, h, frozen_noise=noise)
             assert got._parents == (got_raw,)
             assert same_bytes(got.data, want.data)
@@ -400,6 +400,15 @@ class TestFusedHeads:
 
 
 class TestChannelSurrogate:
+    def test_components_and_frozen_state_come_from_the_net(self):
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(5)))
+        assert surr.h == 2 and not surr.frozen
+        assert surr.freeze() is surr and surr.frozen
+        surr.net.weights[0].requires_grad = True
+        assert not surr.frozen
+        with pytest.raises(TypeError):
+            ChannelSurrogate(net=surr.net, h=2)
+
     def test_checkpoint_roundtrip(self, tmp_path):
         net = build_mdn_net(np.random.default_rng(5))
         surr = ChannelSurrogate(net=net, channel={"name": "scenario1"}).freeze()
@@ -407,6 +416,7 @@ class TestChannelSurrogate:
         surr.save(path)
         loaded = ChannelSurrogate.load(path)
         assert loaded.frozen and loaded.channel == {"name": "scenario1"}
+        assert nn.load_checkpoint(path)[2]["h"] == 2          # still in the header
         for a, b in zip(surr.net.parameters(), loaded.net.parameters()):
             assert np.array_equal(a.data, b.data)
 

@@ -169,7 +169,7 @@ class TestEndToEndGradient:
             encoder=DenseNet([6, 5, 4, 4, 4, 3], ["leaky_relu"] * 4 + ["identity"], rng=rng),
             quantizer=DenseNet([3, 4, 4, 3], ["leaky_relu"] * 2 + ["sigmoid"], rng=rng),
             decoder=DenseNet([3, 4, 4, 2], ["leaky_relu"] * 2 + ["softmax"], rng=rng),
-            symbols=3, num_classes=2, image_shape=(6, 1, 1),
+            image_shape=(6, 1, 1),
             input_mean=np.zeros(6), input_std=np.ones(6),
         )
         surr = ChannelSurrogate(net=build_mdn_net(rng, hidden=5)).freeze()
@@ -288,7 +288,7 @@ class TestEvaluateAccuracy:
                                        [zeros, zeros, zeros],
                                        ["leaky_relu", "leaky_relu", "softmax"])
         model = SemanticModel(encoder=encoder, quantizer=quantizer, decoder=decoder,
-                              symbols=k, num_classes=k, image_shape=(k, 1, 1),
+                              image_shape=(k, 1, 1),
                               input_mean=np.zeros(k), input_std=np.ones(k))
         images = np.tile(eye, (25, 1))
         labels = np.tile(np.arange(k), 25)
@@ -464,9 +464,19 @@ class TestCheckpoint:
         model.save(path)
         back = SemanticModel.load(path)
         assert back.symbols == 16 and back.num_classes == 4
+        meta = nn.load_checkpoint(path)[2]
+        assert (meta["k"], meta["num_classes"]) == (16, 4)     # still in the header
         assert np.array_equal(back.input_mean, mean)
         for a, b in zip(model.parameters(), back.parameters()):
             assert np.array_equal(a.data, b.data)
+
+    def test_widths_come_from_the_nets(self):
+        model = build_semantic_model(np.random.default_rng(25), symbols=5, num_classes=3)
+        assert (model.symbols, model.num_classes) == (5, 3)
+        assert model.encoder.dims[-1] == model.quantizer.dims[-1] == 5
+        with pytest.raises(TypeError):
+            SemanticModel(encoder=model.encoder, quantizer=model.quantizer,
+                          decoder=model.decoder, symbols=5, image_shape=(16, 16, 1))
 
     def test_role_checked(self, tmp_path, frozen_surrogate):
         path = tmp_path / "surrogate.ckpt"
