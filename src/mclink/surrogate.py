@@ -193,11 +193,11 @@ def sample_surrogate(
     """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
 
     ``raw`` holds (rows, 3h) outputs, split as :func:`mdn_forward` splits
-    them, so h is a third of its width. The component index is drawn from pi (``rng.random``, then
-    ``rng.standard_normal`` for eps) and treated as a constant; gradients
-    flow through the selected mean and variance only. ``frozen_noise`` =
-    (component index, standard-normal eps) replays fixed draws, e.g. for
-    finite-difference checks. One graph node, bit-identical to the
+    them, so h is a third of its width. The component index is drawn from
+    pi (``rng.random``, then ``rng.standard_normal`` for eps) and treated
+    as a constant; gradients flow through the selected mean and variance
+    only. ``frozen_noise`` = (component index, standard-normal eps) replays
+    fixed draws, e.g. for finite-difference checks. One graph node, bit-identical to the
     softmax, clip, exp, row pick, sqrt and affine draw composed.
     """
     x = raw.data
