@@ -400,10 +400,12 @@ class TestFusedHeads:
 
 
 class TestChannelSurrogate:
-    def test_components_and_frozen_state_come_from_the_net(self):
+    def test_components_and_frozen_state_come_from_the_net(self, tmp_path):
         surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(5)))
         assert surr.h == 2 and not surr.frozen
         assert surr.freeze() is surr and surr.frozen
+        surr.save(tmp_path / "surrogate.ckpt")
+        assert nn.load_checkpoint(tmp_path / "surrogate.ckpt")[2]["h"] == 2   # still written
         surr.net.weights[0].requires_grad = True
         assert not surr.frozen
         with pytest.raises(TypeError):
@@ -416,7 +418,6 @@ class TestChannelSurrogate:
         surr.save(path)
         loaded = ChannelSurrogate.load(path)
         assert loaded.frozen and loaded.channel == {"name": "scenario1"}
-        assert nn.load_checkpoint(path)[2]["h"] == 2          # still in the header
         for a, b in zip(surr.net.parameters(), loaded.net.parameters()):
             assert np.array_equal(a.data, b.data)
 

@@ -464,8 +464,6 @@ class TestCheckpoint:
         model.save(path)
         back = SemanticModel.load(path)
         assert back.symbols == 16 and back.num_classes == 4
-        meta = nn.load_checkpoint(path)[2]
-        assert (meta["k"], meta["num_classes"]) == (16, 4)     # still in the header
         assert np.array_equal(back.input_mean, mean)
         for a, b in zip(model.parameters(), back.parameters()):
             assert np.array_equal(a.data, b.data)
@@ -476,7 +474,8 @@ class TestCheckpoint:
         assert model.encoder.dims[-1] == model.quantizer.dims[-1] == 5
         with pytest.raises(TypeError):
             SemanticModel(encoder=model.encoder, quantizer=model.quantizer,
-                          decoder=model.decoder, symbols=5, image_shape=(16, 16, 1))
+                          decoder=model.decoder, symbols=5, num_classes=3,
+                          image_shape=(16, 16, 1))
 
     def test_role_checked(self, tmp_path, frozen_surrogate):
         path = tmp_path / "surrogate.ckpt"
