@@ -124,18 +124,6 @@ def scenario_names() -> tuple[str, ...]:
     return tuple(sorted(_SCENARIOS))
 
 
-def save_params(path, p: ChannelParams) -> None:
-    """Write channel parameters as a flat 'key = value' text file."""
-    lines = ["# molecular link parameters\n"]
-    for f in fields(ChannelParams):
-        value = getattr(p, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {value!r}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
-
-
 def load_params(path_or_name: str) -> ChannelParams:
     """Load parameters from a built-in scenario name or a key=value file."""
     if path_or_name in _SCENARIOS:

@@ -409,6 +409,10 @@ def cmd_sweep(params: dict, seed: int) -> int:
         train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
         train_set = _dataset(train_path, training=True)
         test_set = _dataset(test_path)
+        if train_set.num_classes < test_set.num_classes:
+            raise UsageError(f"{train_path} holds {train_set.num_classes} classes and "
+                             f"{test_path} {test_set.num_classes}; models trained on it "
+                             f"would have too few outputs")
         try:
             budgets = [integral(float(x)) for x in params["n_m_list"].split(",")]
         except ValueError as err:

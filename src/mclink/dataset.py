@@ -66,34 +66,25 @@ def _base_pattern(label: int, size: int) -> np.ndarray:
     raise ValueError(f"label must be in [0, {len(CLASS_NAMES)}), got {label}")
 
 
-def make_image(rng: np.random.Generator, label: int, size: int = IMAGE_SIZE,
-               noise_std: float = PIXEL_NOISE_STD, max_shift: int = MAX_SHIFT) -> np.ndarray:
-    """One noisy, randomly shifted class exemplar as a (size, size) array."""
-    img = _base_pattern(label, size)
-    dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
-    img = np.roll(img, (int(dy), int(dx)), axis=(0, 1))
-    img = img + noise_std * rng.standard_normal(img.shape)
-    return np.clip(img, 0.0, 1.0)
-
-
-def make_dataset(rng: np.random.Generator, count: int, size: int = IMAGE_SIZE,
-                 noise_std: float = PIXEL_NOISE_STD, max_shift: int = MAX_SHIFT) -> Dataset:
+def make_dataset(rng: np.random.Generator, count: int) -> Dataset:
     """Balanced dataset with labels cycling through the four classes.
 
-    Each image is ``make_image`` with the same two draws in the same order,
-    so the bytes equal a loop over it; the shifted patterns come from a
-    table built once per call, and the clip runs once on the whole array.
+    Each image takes two draws, in this order: its (dy, dx) shift, then its
+    pixel noise. The bytes equal a loop that rolls, noises and clips one
+    image at a time (the tests keep it as the reference); the shifted
+    patterns come from a table built once per call, and the clip runs once
+    on the whole array.
     """
-    shifts = range(-max_shift, max_shift + 1)
-    # table[label, dy + max_shift, dx + max_shift] = the pattern rolled by (dy, dx)
+    size, shifts = IMAGE_SIZE, range(-MAX_SHIFT, MAX_SHIFT + 1)
+    # table[label, dy + MAX_SHIFT, dx + MAX_SHIFT] = the pattern rolled by (dy, dx)
     table = np.array([[[np.roll(_base_pattern(label, size), (dy, dx), axis=(0, 1)).reshape(-1)
                         for dx in shifts] for dy in shifts]
                       for label in range(len(CLASS_NAMES))])
     images = np.empty((count, size * size), dtype=float)
     labels = np.arange(count, dtype=np.int64) % len(CLASS_NAMES)
     for row, label in zip(images, labels):
-        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2) + max_shift
-        np.multiply(noise_std, rng.standard_normal(size * size), out=row)
+        dy, dx = rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2) + MAX_SHIFT
+        np.multiply(PIXEL_NOISE_STD, rng.standard_normal(size * size), out=row)
         row += table[label, dy, dx]
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images=images, labels=labels, height=size, width=size, channels=1)
@@ -106,7 +97,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic, version, or truncated dataset container."""
+    """Bad magic, version, or a truncated or overlong dataset container."""
 
 
 def save_dataset(path, ds: Dataset) -> None:
@@ -123,7 +114,10 @@ def load_dataset(path) -> Dataset:
         magic = fh.read(len(DATASET_MAGIC))
         if magic != DATASET_MAGIC:
             raise DatasetFormatError(f"{path}: not a dataset container")
-        version, height, width, channels, count = struct.unpack("<IIIII", fh.read(20))
+        fixed = fh.read(20)
+        if len(fixed) != 20:
+            raise DatasetFormatError(f"{path}: truncated container")
+        version, height, width, channels, count = struct.unpack("<IIIII", fixed)
         if version != DATASET_VERSION:
             raise DatasetFormatError(f"{path}: container version {version}, "
                                      f"expected {DATASET_VERSION}")
@@ -132,6 +126,9 @@ def load_dataset(path) -> Dataset:
         labels = fh.read(count)
         if len(pixels) != 4 * n_px or len(labels) != count:
             raise DatasetFormatError(f"{path}: truncated container")
+        extra = len(fh.read())
+        if extra:
+            raise DatasetFormatError(f"{path}: {extra} byte(s) after the labels")
     images = np.frombuffer(pixels, dtype="<f4").astype(float).reshape(
         count, height * width * channels)
     return Dataset(images=images,

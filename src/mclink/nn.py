@@ -2,11 +2,11 @@
 
 Just enough autodiff for this project: float64 tensors holding a dense
 array, a gradient slot, and a backward closure. Graphs are built by the
-ops below (elementwise math, the four activations, gather, concat) and
-walked once per loss evaluation. The hot paths are fused nodes, each with
-a hand-written backward that runs the same array operations, in the same
-order, as the composed ops it replaces, so its values are bit-identical
-to theirs (the tests keep the composed forms as the reference):
+nodes below and walked once per loss evaluation. Each model is trained
+through fused nodes, each with a hand-written backward that runs the same
+array operations, in the same order, as the composed elementwise ops it
+replaces, so its values are bit-identical to theirs (the tests keep the
+composed forms as the reference):
 
 * ``dense``, one layer of a ``DenseNet``: matmul, bias and activation;
   backward takes the activation's derivative from the layer output and
@@ -16,7 +16,7 @@ to theirs (the tests keep the composed forms as the reference):
   reparameterized draw (``sample_surrogate``), each one node on the raw
   net output.
 
-The elementwise ops stay for other graphs and as those references. Every
+Slicing, ``reshape`` and ``concat`` join those nodes into a graph. Every
 network trains through one loop, ``train``: SGD with momentum, early
 stopping, best-weight restore. Training is single-threaded by contract so
 runs are reproducible bit for bit for a fixed seed.
@@ -59,9 +59,8 @@ class Tensor:
 
         A first gradient is stored as a copy unless ``fresh``: the producer
         made ``g`` for this tensor alone and keeps no other reference to it.
-        ``add`` hands one array to both parents, ``_unbroadcast``, ``reshape``
-        and ``concat`` can pass views, and ``clip_gradients`` scales grads in
-        place, so those copy.
+        ``reshape`` and ``concat`` can pass views, and ``clip_gradients``
+        scales grads in place, so those copy.
         """
         if self.grad is None:
             if fresh:
@@ -98,41 +97,8 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -142,45 +108,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original shape."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _binary(a, b, out_data, da, db) -> Tensor:
+def matmul(a, b) -> Tensor:
+    """``a @ b`` of two 2-D tensors as one graph node."""
     a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(da(g, a.data, b.data), a.data.shape))
+            a._accumulate(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(db(g, a.data, b.data), b.data.shape))
+            b._accumulate(a.data.T @ g, fresh=True)
 
-    return Tensor(out_data(a.data, b.data), requires_grad=req, parents=(a, b),
-                  backward_fn=backward_fn)
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
-
-
-def mul(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
-
-
-def matmul(a, b) -> Tensor:
-    return _binary(
-        a, b,
-        lambda x, y: x @ y,
-        lambda g, x, y: g @ y.T,
-        lambda g, x, y: x.T @ g,
-    )
+    return Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
+                  parents=(a, b), backward_fn=backward_fn)
 
 
 def _unary(a, out_data, da, fresh: bool = False) -> Tensor:
@@ -193,38 +132,6 @@ def _unary(a, out_data, da, fresh: bool = False) -> Tensor:
             a._accumulate(da(g, a.data, y), fresh=fresh)
 
     return Tensor(y, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward_fn)
-
-
-def power(a, exponent: float) -> Tensor:
-    e = float(exponent)
-    return _unary(a, lambda x: x ** e, lambda g, x, y: g * e * x ** (e - 1.0))
-
-
-def exp(a) -> Tensor:
-    return _unary(a, np.exp, lambda g, x, y: g * y)
-
-
-def log(a) -> Tensor:
-    return _unary(a, np.log, lambda g, x, y: g / x)
-
-
-def sqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda g, x, y: g * 0.5 / y)
-
-
-def maximum_scalar(a, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient passes only above the floor."""
-    f = float(floor)
-    return _unary(a, lambda x: np.maximum(x, f), lambda g, x, y: g * (x > f))
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient is zero where the clamp is active."""
-    return _unary(
-        a,
-        lambda x: np.clip(x, lo, hi),
-        lambda g, x, y: g * ((x > lo) & (x < hi)),
-    )
 
 
 def _leaky_relu(x: np.ndarray) -> np.ndarray:
@@ -276,69 +183,13 @@ _ACTIVATION_FORMS = {
 ACTIVATIONS = tuple(_ACTIVATION_FORMS)
 
 
-def leaky_relu(a) -> Tensor:
-    return _unary(a, _leaky_relu, lambda g, x, y: _leaky_relu_grad(g, y))
-
-
-def sigmoid(a) -> Tensor:
-    return _unary(a, _sigmoid, lambda g, x, y: _sigmoid_grad(g, y))
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    return _unary(a, lambda x: _softmax(x, axis), lambda g, x, y: _softmax_grad(g, y, axis))
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """log(softmax(a)) computed as a - logsumexp(a), without a log of zero."""
-    def fwd(x):
-        shifted = x - x.max(axis=axis, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def da(g, x, y):
-        return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
-
-    return _unary(a, fwd, da)
-
-
-def logsumexp(a, axis: int = -1) -> Tensor:
-    """log(sum(exp(a))) along ``axis`` (dropped), shifted by the max for range."""
-    def fwd(x):
-        peak = x.max(axis=axis, keepdims=True)
-        return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-    def da(g, x, y):
-        return np.expand_dims(g, axis) * np.exp(x - np.expand_dims(y, axis))
-
-    return _unary(a, fwd, da)
-
-
-def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    """Broadcast the gradient of a reduction back over the reduced axis."""
-    if axis is not None and not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape).copy()
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims),
-                  lambda g, x, y: _spread(g, x.shape, axis, keepdims))
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    """Mean as sum / n: one rounding, where sum * (1 / n) takes two."""
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims) / n,
-                  lambda g, x, y: _spread(g / n, x.shape, axis, keepdims))
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     return _unary(a, lambda x: x.reshape(shape), lambda g, x, y: g.reshape(x.shape))
 
 
 def getitem(a, idx) -> Tensor:
-    """Basic slicing with gradient scatter (no fancy indexing; see take_rows)."""
+    """Basic slicing with gradient scatter (no fancy indexing)."""
     a = as_tensor(a)
 
     def da(g, x, y):
@@ -347,20 +198,6 @@ def getitem(a, idx) -> Tensor:
         return z
 
     return _unary(a, lambda x: x[idx].copy(), da, fresh=True)
-
-
-def take_rows(a, col_index: np.ndarray) -> Tensor:
-    """out[i] = a[i, col_index[i]] with scatter-add gradient."""
-    a = as_tensor(a)
-    rows = np.arange(a.data.shape[0])
-    col_index = np.asarray(col_index, dtype=np.intp)
-
-    def da(g, x, y):
-        z = np.zeros_like(x)
-        np.add.at(z, (rows, col_index), g)
-        return z
-
-    return _unary(a, lambda x: x[rows, col_index].copy(), da, fresh=True)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
@@ -531,20 +368,22 @@ def clip_gradients(params, max_norm: float) -> float:
     return norm
 
 
-class SGD:
-    """Plain SGD with classical momentum; step() applies and resets grads."""
+MOMENTUM = 0.9            # SGD's momentum, for every trainer
 
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.9):
+
+class SGD:
+    """Plain SGD with classical momentum ``MOMENTUM``; step() applies and resets grads."""
+
+    def __init__(self, params, lr: float = 1e-2):
         self.params = list(params)
         self.lr = lr
-        self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
-            v *= self.momentum
+            v *= MOMENTUM
             v += p.grad
             p.data -= self.lr * v
             p.zero_grad()
@@ -609,7 +448,7 @@ def train(rng: np.random.Generator, params, n_rows: int,
     history = {} if history is None else history
     train_values = history.setdefault(f"train_{loss_name}", [])
     val_values = history.setdefault(f"val_{loss_name}", [])
-    opt = SGD(params, lr=cfg.lr)           # SGD's momentum, 0.9, for every trainer
+    opt = SGD(params, lr=cfg.lr)
     floor = cfg.lr if cfg.min_lr is None else cfg.min_lr
     best = math.inf
     best_state = [p.data.copy() for p in params]
@@ -666,40 +505,6 @@ def train(rng: np.random.Generator, params, n_rows: int,
     return history
 
 
-def gradient_check(loss_fn: Callable[[], Tensor], params, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``loss_fn`` must rebuild the graph on every call (it is re-evaluated
-    2 x n times). Elements where both gradients are below 1e-7 are treated
-    as matching zeros.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    for p in params:
-        p.zero_grad()
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(loss_fn().data)
-            flat[i] = orig - h
-            down = float(loss_fn().data)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            ai = a_flat[i]
-            if abs(ai) < 1e-7 and abs(numeric) < 1e-7:
-                continue
-            worst = max(worst, abs(ai - numeric) / max(abs(ai), abs(numeric)))
-    return worst
-
-
 # ----------------------------------------------------------------------
 # Checkpoint container: magic + version + JSON header + packed float64.
 # All integers and floats little-endian; arrays row-major.
@@ -734,27 +539,44 @@ def save_checkpoint(path, role: str, nets: dict[str, DenseNet], meta: dict | Non
 def load_checkpoint(path, expect_role: str | None = None):
     """Read a checkpoint; returns (role, nets, meta).
 
-    Rejects unknown magic bytes, version mismatches, truncated payloads, a
+    Rejects unknown magic bytes, version mismatches, a truncated file, a
+    header that is not a JSON object with ``role``, ``meta`` and, per net,
+    a list of positive integer ``dims`` and a list of ``activations``, a
     net whose tag list fails :class:`DenseNet`'s checks (one known tag per
-    layer), and (when ``expect_role`` is given) checkpoints saved for another
-    role, each as a CheckpointError that names the file.
+    layer), bytes after the last array, and (when ``expect_role`` is given)
+    checkpoints saved for another role, each as a CheckpointError that
+    names the file.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        fixed = fh.read(8)
+        if len(fixed) != 8:
+            raise CheckpointError(f"{path}: truncated header")
+        version, header_len = struct.unpack("<II", fixed)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
             )
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        role = header["role"]
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            role, meta = header["role"], header["meta"]
+            specs = {name: (spec["dims"], spec["activations"])
+                     for name, spec in header["nets"].items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as err:
+            raise CheckpointError(f"{path}: malformed header ({err!r})") from err
         if expect_role is not None and role != expect_role:
             raise CheckpointError(f"{path}: role {role!r}, expected {expect_role!r}")
         nets: dict[str, DenseNet] = {}
-        for name, spec in header["nets"].items():
-            dims = spec["dims"]
+        for name, (dims, activations) in specs.items():
+            if not (isinstance(dims, list) and all(type(d) is int and d > 0 for d in dims)
+                    and isinstance(activations, list)):
+                raise CheckpointError(f"{path}: net {name!r}: dims must be a list of positive "
+                                      f"integers and activations a list")
             weights, biases = [], []
             for fan_in, fan_out in zip(dims[:-1], dims[1:]):
                 w_bytes = fh.read(8 * fan_in * fan_out)
@@ -764,7 +586,10 @@ def load_checkpoint(path, expect_role: str | None = None):
                 weights.append(np.frombuffer(w_bytes, dtype="<f8").reshape(fan_in, fan_out))
                 biases.append(np.frombuffer(b_bytes, dtype="<f8"))
             try:
-                nets[name] = DenseNet.from_arrays(weights, biases, spec["activations"])
+                nets[name] = DenseNet.from_arrays(weights, biases, activations)
             except ValueError as err:
                 raise CheckpointError(f"{path}: net {name!r}: {err}") from err
-    return role, nets, header["meta"]
+        extra = len(fh.read())
+        if extra:
+            raise CheckpointError(f"{path}: {extra} byte(s) after the last array")
+    return role, nets, meta

@@ -158,16 +158,3 @@ def write_capture_csv(path, curve, cfg: ParticleSimConfig, p: ChannelParams) -> 
                     ((t, emp, analytic, rel, exact_presence(p, t))
                      for t, emp, analytic, rel in curve))
     runio.write_json(f"{path}.meta.json", {"config": asdict(cfg), "channel": asdict(p)})
-
-
-def displacement_moments(
-    cfg: ParticleSimConfig, p: ChannelParams
-) -> list[tuple[float, float, float]]:
-    """Mean x displacement and per-axis variance at each probe time.
-
-    Diagnostic for the increments: expectations are v*t and 2*D*t. Draws
-    shard 0 of the presence run, capped at SHARD_SIZE particles.
-    """
-    n = min(cfg.n_particles, SHARD_SIZE)
-    return [(t, float(pos[:, 0].mean()), float(pos.var(axis=0, ddof=1).mean()))
-            for t, pos in _clouds(_shard_rng(cfg.seed, 0), n, cfg.record_times, p)]

@@ -66,19 +66,6 @@ class MixtureParams:
         m = (self.pi * self.mu).sum(axis=-1)
         return float(m) if m.ndim == 0 else m
 
-    def variance(self) -> np.ndarray | float:
-        m = (self.pi * self.mu).sum(axis=-1, keepdims=True)
-        v = (self.pi * (self.sigma2 + (self.mu - m) ** 2)).sum(axis=-1)
-        return float(v) if v.ndim == 0 else v
-
-
-def mixture_pdf(mp: MixtureParams, w_rx) -> float | np.ndarray:
-    """Mixture density at w_rx; broadcasts over batched parameters."""
-    w = np.asarray(w_rx, dtype=float)
-    w_exp = w[..., None] if mp.pi.ndim > 1 or w.ndim > 0 else w
-    kernel = np.exp(-((w_exp - mp.mu) ** 2) / (2.0 * mp.sigma2))
-    dens = (mp.pi * kernel / np.sqrt(2.0 * math.pi * mp.sigma2)).sum(axis=-1)
-    return float(dens) if dens.ndim == 0 else dens
 
 
 def generate_pairs(
@@ -104,9 +91,9 @@ def write_pairs_csv(path, pairs: tuple[np.ndarray, np.ndarray]) -> None:
                      in zip(contexts.tolist(), targets.tolist())))
 
 
-def build_mdn_net(rng: np.random.Generator, hidden: int = HIDDEN_WIDTH) -> DenseNet:
+def build_mdn_net(rng: np.random.Generator) -> DenseNet:
     """Five dense layers from (w_curr, w_prev) to the 3h mixture outputs, h = COMPONENTS."""
-    dims = [2] + [hidden] * (MDN_LAYERS - 1) + [3 * COMPONENTS]
+    dims = [2] + [HIDDEN_WIDTH] * (MDN_LAYERS - 1) + [3 * COMPONENTS]
     activations = ["leaky_relu"] * (MDN_LAYERS - 1) + ["identity"]
     return DenseNet(dims, activations, rng=rng)
 
@@ -185,37 +172,23 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
     return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
 
-def sample_surrogate(
-    rng: np.random.Generator | None,
-    raw: Tensor,
-    frozen_noise: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Tensor:
+def sample_surrogate(rng: np.random.Generator, raw: Tensor) -> Tensor:
     """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
 
     ``raw`` holds (rows, 3h) outputs, split as :func:`mdn_forward` splits
     them, so h is a third of its width. The component index is drawn from
     pi (``rng.random``, then ``rng.standard_normal`` for eps) and treated
     as a constant; gradients flow through the selected mean and variance
-    only. ``frozen_noise`` = (component index, standard-normal eps) replays
-    fixed draws, e.g. for finite-difference checks. One graph node, bit-identical to the
-    softmax, clip, exp, row pick, sqrt and affine draw composed.
+    only. One graph node, bit-identical to the softmax, clip, exp, row
+    pick, sqrt and affine draw composed.
     """
     x = raw.data
     n, h = x.shape[0], x.shape[1] // 3
-    if frozen_noise is None:
-        if rng is None:
-            raise ValueError("need an rng when no frozen noise is supplied")
-        u = rng.random(n)
-        pi = nn.apply_activation(x[:, 0:h], "softmax")
-        idx = (u[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
-        idx = np.minimum(idx, h - 1)
-        eps = rng.standard_normal(n)
-    else:
-        idx, eps = frozen_noise
-        idx = np.asarray(idx, dtype=np.intp)
-        eps = np.asarray(eps, dtype=float)
-        if np.any((idx < 0) | (idx >= h)):
-            raise ValueError(f"component indices must lie in [0, {h})")
+    u = rng.random(n)
+    pi = nn.apply_activation(x[:, 0:h], "softmax")
+    idx = (u[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
+    idx = np.minimum(idx, h - 1)
+    eps = rng.standard_normal(n)
     rows = np.arange(n)
     logvar_raw = x[rows, 2 * h + idx]
     s2 = np.exp(np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX))
@@ -253,14 +226,9 @@ class ChannelSurrogate:
         self.net.set_requires_grad(False)
         return self
 
-    def sample_tensor(
-        self,
-        ctx: Tensor,
-        rng: np.random.Generator | None,
-        frozen_noise=None,
-    ) -> Tensor:
+    def sample_tensor(self, ctx: Tensor, rng: np.random.Generator) -> Tensor:
         """Per-row received-symbol draw with a gradient path into ``ctx``."""
-        return sample_surrogate(rng, self.net.forward(ctx), frozen_noise=frozen_noise)
+        return sample_surrogate(rng, self.net.forward(ctx))
 
     def save(self, path) -> None:
         # h stays in the header for its readers; load takes it from the net

@@ -35,7 +35,7 @@ from .surrogate import ChannelSurrogate
 
 SEMANTIC_ROLE = "semantic_model"
 
-DEFAULT_SYMBOLS = 16
+SYMBOLS = 16                         # slots per frame, k
 DEFAULT_CLASSES = 4
 ENCODER_HIDDEN = (128, 64, 64, 32)   # five layers to the k-dim feature
 QUANTIZER_HIDDEN = (32, 32)          # three layers, sigmoid head
@@ -97,17 +97,16 @@ class SemanticModel:
 def build_semantic_model(
     rng: np.random.Generator,
     image_shape: tuple[int, int, int] = (16, 16, 1),
-    symbols: int = DEFAULT_SYMBOLS,
     num_classes: int = DEFAULT_CLASSES,
     input_mean: np.ndarray | None = None,
     input_std: np.ndarray | None = None,
 ) -> SemanticModel:
     d = int(np.prod(image_shape))
-    encoder = DenseNet([d, *ENCODER_HIDDEN, symbols],
+    encoder = DenseNet([d, *ENCODER_HIDDEN, SYMBOLS],
                        ["leaky_relu"] * 4 + ["identity"], rng=rng)
-    quantizer = DenseNet([symbols, *QUANTIZER_HIDDEN, symbols],
+    quantizer = DenseNet([SYMBOLS, *QUANTIZER_HIDDEN, SYMBOLS],
                          ["leaky_relu"] * 2 + ["sigmoid"], rng=rng)
-    decoder = DenseNet([symbols, *DECODER_HIDDEN, num_classes],
+    decoder = DenseNet([SYMBOLS, *DECODER_HIDDEN, num_classes],
                        ["leaky_relu"] * 2 + ["softmax"], rng=rng)
     if input_mean is None:
         input_mean = np.zeros(d)
@@ -149,11 +148,10 @@ def _frame_contexts(w: Tensor) -> Tensor:
 
 
 def transmit_train(
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     model: SemanticModel,
     surrogate: ChannelSurrogate,
     images: np.ndarray,
-    frozen_noise=None,
 ) -> Tensor:
     """Class probabilities with the full gradient path through the surrogate.
 
@@ -165,7 +163,7 @@ def transmit_train(
     w = encode_batch(model, images)
     b, k = w.data.shape
     ctx = _frame_contexts(w)
-    w_rx = surrogate.sample_tensor(ctx, rng, frozen_noise=frozen_noise)
+    w_rx = surrogate.sample_tensor(ctx, rng)
     return model.decoder.forward(nn.reshape(w_rx, (b, k)))
 
 

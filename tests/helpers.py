@@ -1,0 +1,277 @@
+"""Reference implementations and stand-ins shared by the tests.
+
+The package trains through fused graph nodes (``nn.dense``,
+``nn.cross_entropy``, ``surrogate.mdn_nll``, ``surrogate.sample_surrogate``)
+and builds its dataset with a table kernel. Each is bit-identical to a
+composition of simpler steps, and those compositions live here as the
+references the tests compare against: the elementwise autodiff ops with
+their finite-difference checker, the mixture density, and the per-image
+dataset loop. ``sub`` and ``neg`` spell the ``a - b`` and ``-a`` of the
+composed graphs as the same ops, in the same order.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from mclink.dataset import IMAGE_SIZE, MAX_SHIFT, PIXEL_NOISE_STD, _base_pattern
+from mclink.nn import (
+    DenseNet,
+    Tensor,
+    _leaky_relu,
+    _leaky_relu_grad,
+    _sigmoid,
+    _sigmoid_grad,
+    _softmax,
+    _softmax_grad,
+    _unary,
+    as_tensor,
+)
+from mclink.surrogate import COMPONENTS, MDN_LAYERS, MixtureParams
+
+
+# -- elementwise autodiff ops ---------------------------------------------
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back down to the original shape."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def _binary(a, b, out_data, da, db) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    req = a.requires_grad or b.requires_grad
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(da(g, a.data, b.data), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(db(g, a.data, b.data), b.data.shape))
+
+    return Tensor(out_data(a.data, b.data), requires_grad=req, parents=(a, b),
+                  backward_fn=backward_fn)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+
+
+def mul(a, b) -> Tensor:
+    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+
+
+def sub(a, b) -> Tensor:
+    return add(a, mul(b, -1.0))
+
+
+def neg(a) -> Tensor:
+    return mul(a, -1.0)
+
+
+def power(a, exponent: float) -> Tensor:
+    e = float(exponent)
+    return _unary(a, lambda x: x ** e, lambda g, x, y: g * e * x ** (e - 1.0))
+
+
+def exp(a) -> Tensor:
+    return _unary(a, np.exp, lambda g, x, y: g * y)
+
+
+def log(a) -> Tensor:
+    return _unary(a, np.log, lambda g, x, y: g / x)
+
+
+def sqrt(a) -> Tensor:
+    return _unary(a, np.sqrt, lambda g, x, y: g * 0.5 / y)
+
+
+def maximum_scalar(a, floor: float) -> Tensor:
+    """Elementwise max(a, floor); gradient passes only above the floor."""
+    f = float(floor)
+    return _unary(a, lambda x: np.maximum(x, f), lambda g, x, y: g * (x > f))
+
+
+def clip(a, lo: float, hi: float) -> Tensor:
+    """Clamp to [lo, hi]; gradient is zero where the clamp is active."""
+    return _unary(
+        a,
+        lambda x: np.clip(x, lo, hi),
+        lambda g, x, y: g * ((x > lo) & (x < hi)),
+    )
+
+
+def leaky_relu(a) -> Tensor:
+    return _unary(a, _leaky_relu, lambda g, x, y: _leaky_relu_grad(g, y))
+
+
+def sigmoid(a) -> Tensor:
+    return _unary(a, _sigmoid, lambda g, x, y: _sigmoid_grad(g, y))
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    return _unary(a, lambda x: _softmax(x, axis), lambda g, x, y: _softmax_grad(g, y, axis))
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    """log(softmax(a)) computed as a - logsumexp(a), without a log of zero."""
+    def fwd(x):
+        shifted = x - x.max(axis=axis, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def da(g, x, y):
+        return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+
+    return _unary(a, fwd, da)
+
+
+def logsumexp(a, axis: int = -1) -> Tensor:
+    """log(sum(exp(a))) along ``axis`` (dropped), shifted by the max for range."""
+    def fwd(x):
+        peak = x.max(axis=axis, keepdims=True)
+        return (peak + np.log(np.exp(x - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+    def da(g, x, y):
+        return np.expand_dims(g, axis) * np.exp(x - np.expand_dims(y, axis))
+
+    return _unary(a, fwd, da)
+
+
+def _spread(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """Broadcast the gradient of a reduction back over the reduced axis."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims),
+                  lambda g, x, y: _spread(g, x.shape, axis, keepdims))
+
+
+def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean as sum / n: one rounding, where sum * (1 / n) takes two."""
+    a = as_tensor(a)
+    n = a.data.size if axis is None else a.data.shape[axis]
+    return _unary(a, lambda x: x.sum(axis=axis, keepdims=keepdims) / n,
+                  lambda g, x, y: _spread(g / n, x.shape, axis, keepdims))
+
+
+def take_rows(a, col_index: np.ndarray) -> Tensor:
+    """out[i] = a[i, col_index[i]] with scatter-add gradient."""
+    a = as_tensor(a)
+    rows = np.arange(a.data.shape[0])
+    col_index = np.asarray(col_index, dtype=np.intp)
+
+    def da(g, x, y):
+        z = np.zeros_like(x)
+        np.add.at(z, (rows, col_index), g)
+        return z
+
+    return _unary(a, lambda x: x[rows, col_index].copy(), da, fresh=True)
+
+
+def gradient_check(loss_fn: Callable[[], Tensor], params, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``loss_fn`` must rebuild the graph on every call (it is re-evaluated
+    2 x n times). Elements where both gradients are below 1e-7 are treated
+    as matching zeros.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    for p in params:
+        p.zero_grad()
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        a_flat = a.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(loss_fn().data)
+            flat[i] = orig - h
+            down = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            ai = a_flat[i]
+            if abs(ai) < 1e-7 and abs(numeric) < 1e-7:
+                continue
+            worst = max(worst, abs(ai - numeric) / max(abs(ai), abs(numeric)))
+    return worst
+
+
+# -- the mixture channel ----------------------------------------------------
+
+def mixture_pdf(mp: MixtureParams, w_rx) -> float | np.ndarray:
+    """Mixture density at w_rx; broadcasts over batched parameters."""
+    w = np.asarray(w_rx, dtype=float)
+    w_exp = w[..., None] if mp.pi.ndim > 1 or w.ndim > 0 else w
+    kernel = np.exp(-((w_exp - mp.mu) ** 2) / (2.0 * mp.sigma2))
+    dens = (mp.pi * kernel / np.sqrt(2.0 * math.pi * mp.sigma2)).sum(axis=-1)
+    return float(dens) if dens.ndim == 0 else dens
+
+
+def mixture_variance(mp: MixtureParams) -> np.ndarray | float:
+    m = (mp.pi * mp.mu).sum(axis=-1, keepdims=True)
+    v = (mp.pi * (mp.sigma2 + (mp.mu - m) ** 2)).sum(axis=-1)
+    return float(v) if v.ndim == 0 else v
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Trapezoid rule over samples ``y`` at ascending points ``x``."""
+    return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
+
+
+def small_mdn_net(rng: np.random.Generator, hidden: int) -> DenseNet:
+    """The mixture net's layer stack with ``hidden`` units per hidden layer,
+    for checks that visit every parameter."""
+    return DenseNet([2] + [hidden] * (MDN_LAYERS - 1) + [3 * COMPONENTS],
+                    ["leaky_relu"] * (MDN_LAYERS - 1) + ["identity"], rng=rng)
+
+
+class FrozenDraws:
+    """Generator stand-in that replays one reparameterized draw.
+
+    ``sample_surrogate`` draws ``random(n)`` to pick each row's component and
+    ``standard_normal(n)`` for its noise. ``random`` returns each row's
+    component as a float: with two components, u = 0.0 exceeds no
+    cumulative weight and u = 1.0 exceeds only the first (unless that
+    weight is exactly 1), so the draw picks exactly the given component.
+    ``standard_normal`` returns the given eps. Every call replays the same
+    values, so a loss can be re-evaluated for finite differences.
+    """
+
+    def __init__(self, component, eps):
+        self.u = np.asarray(component, dtype=float)
+        self.eps = np.asarray(eps, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+    def standard_normal(self, n):
+        assert n == len(self.eps)
+        return self.eps.copy()
+
+
+# -- the dataset ------------------------------------------------------------
+
+def make_image(rng: np.random.Generator, label: int, size: int = IMAGE_SIZE,
+               noise_std: float = PIXEL_NOISE_STD, max_shift: int = MAX_SHIFT) -> np.ndarray:
+    """One noisy, randomly shifted class exemplar as a (size, size) array."""
+    img = _base_pattern(label, size)
+    dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
+    img = np.roll(img, (int(dy), int(dx)), axis=(0, 1))
+    img = img + noise_std * rng.standard_normal(img.shape)
+    return np.clip(img, 0.0, 1.0)

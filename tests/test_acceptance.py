@@ -21,6 +21,8 @@ import time
 import numpy as np
 import pytest
 
+import helpers as ref
+from helpers import FrozenDraws, gradient_check, small_mdn_net
 from mclink import nn
 from mclink.channel import (
     capture_probability,
@@ -33,13 +35,12 @@ from mclink.channel import (
 )
 from mclink.cli import EXIT_OK, main as cli_main, sweep
 from mclink.dataset import make_dataset, one_hot
-from mclink.nn import DenseNet, Tensor, gradient_check
+from mclink.nn import DenseNet, Tensor
 from mclink.particle import ParticleSimConfig, empirical_capture_curve
 from mclink.runio import derive_rng
 from mclink.surrogate import (
     ChannelSurrogate,
     FIT_CONFIG,
-    build_mdn_net,
     fit_channel,
     generate_pairs,
     mdn_nll,
@@ -189,12 +190,12 @@ class TestCriterion4:
             target = Tensor(rng.normal(size=(3, 3)))
 
             def loss_fn():
-                d = net.forward(x) - target
-                return nn.tmean(d * d)
+                d = ref.sub(net.forward(x), target)
+                return ref.tmean(ref.mul(d, d))
 
             worst_layers = max(worst_layers, gradient_check(loss_fn, net.parameters()))
 
-        mdn = build_mdn_net(rng, hidden=6)
+        mdn = small_mdn_net(rng, hidden=6)
         ctx = rng.uniform(size=(5, 2))
         tgt = rng.uniform(size=5)
         worst_mdn = gradient_check(lambda: mdn_nll(mdn, (ctx, tgt)), mdn.parameters())
@@ -206,13 +207,13 @@ class TestCriterion4:
             image_shape=(6, 1, 1),
             input_mean=np.zeros(6), input_std=np.ones(6),
         )
-        surr = ChannelSurrogate(net=build_mdn_net(rng, hidden=5)).freeze()
+        surr = ChannelSurrogate(net=small_mdn_net(rng, hidden=5)).freeze()
         x = rng.uniform(size=(2, 6))
         z = one_hot(np.array([0, 1]), 2)
-        frozen = (rng.integers(0, 2, size=6).astype(np.intp), rng.standard_normal(6))
+        frozen = FrozenDraws(rng.integers(0, 2, size=6), rng.standard_normal(6))
 
         def e2e_loss():
-            y = transmit_train(None, model, surr, x, frozen_noise=frozen)
+            y = transmit_train(frozen, model, surr, x)
             return nn.cross_entropy(y, z)
 
         worst_e2e = gradient_check(e2e_loss, model.parameters())

@@ -1,6 +1,7 @@
 """Channel physics: capture probability, count statistics, ISI, SIR."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ from mclink.channel import (
 
 S1 = scenario("scenario1")
 S2 = scenario("scenario2")
+
+
+def write_params(path, p):
+    """A scenario file: one ``key = value`` line per set ChannelParams field."""
+    lines = [f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)
+             if getattr(p, f.name) is not None]
+    path.write_text("# molecular link parameters\n" + "".join(lines))
 
 # Frozen scalar evaluations of the capture formula (30-digit arithmetic).
 P1_AT_2 = 0.0117539496572449226
@@ -74,7 +82,7 @@ class TestChannelParams:
 
     def test_params_file_roundtrip(self, tmp_path):
         path = tmp_path / "link.cfg"
-        channel.save_params(path, S2)
+        write_params(path, S2)
         assert channel.load_params(str(path)) == S2
         assert channel.load_params("scenario1") == S1
 
@@ -87,14 +95,14 @@ class TestChannelParams:
     @pytest.mark.parametrize("line", ["max_molecules = 100.5", "memory = 1.7"])
     def test_params_file_rejects_fractional_integers(self, tmp_path, line):
         path = tmp_path / "frac.cfg"
-        channel.save_params(path, S1)
+        write_params(path, S1)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(ValueError, match="whole number"):
             channel.load_params(str(path))
 
     def test_params_file_accepts_integral_floats(self, tmp_path):
         path = tmp_path / "whole.cfg"
-        channel.save_params(path, S1)
+        write_params(path, S1)
         path.write_text(path.read_text() + "max_molecules = 100.0\nmemory = 2.0\n")
         p = channel.load_params(str(path))
         assert (p.max_molecules, p.memory) == (100, 2)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 
 from mclink import baseline, channel, cli, surrogate, transceiver
 from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, FLAGS, main
-from mclink.dataset import load_dataset, make_dataset, save_dataset
-from mclink.nn import Tensor, load_checkpoint, save_checkpoint
+from mclink.dataset import DATASET_MAGIC, Dataset, load_dataset, save_dataset
+from mclink.nn import CHECKPOINT_MAGIC, Tensor, load_checkpoint, save_checkpoint
 from mclink.runio import load_manifest, sha256_file
 
 FAST_PHYSICS = ["--particles", "20000", "--times", "1.0,1.2585"]
@@ -384,7 +385,8 @@ class TestExitCodes:
     def test_mismatched_dataset_is_usage_error(self, pipeline, tmp_path, capsys):
         small = tmp_path / "small"
         small.mkdir()
-        save_dataset(small / "test.ds", make_dataset(np.random.default_rng(0), 8, size=8))
+        save_dataset(small / "test.ds", Dataset(images=np.zeros((8, 64)), labels=np.arange(8) % 4,
+                                                height=8, width=8))
         out = tmp_path / "out"
         code = run(["eval", "--out", out, "--data", small,
                     "--model", pipeline / "model" / "semantic.ckpt"])
@@ -430,6 +432,56 @@ class TestExitCodes:
                     "--model", bad]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert str(bad) in err and "'decoder'" in err and "activation" in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(CHECKPOINT_MAGIC) + 5],           # ends in the length field
+        lambda blob: blob[:len(CHECKPOINT_MAGIC)] + struct.pack("<II", 1, 9) + b"{not json",
+        lambda blob: blob + bytes(64),                           # bytes after the last array
+    ], ids=["truncated-length-field", "header-not-json", "trailing-bytes"])
+    def test_malformed_checkpoint_is_usage_error_naming_it(self, pipeline, tmp_path, capsys,
+                                                          damage):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(damage((pipeline / "model" / "semantic.ckpt").read_bytes()))
+        out = tmp_path / "out"
+        assert run(["eval", "--out", out, "--data", pipeline / "data",
+                    "--model", bad]) == EXIT_USAGE
+        assert str(bad) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep"])
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:len(DATASET_MAGIC) + 11],             # ends in the 20-byte header
+        lambda blob: blob + bytes(3),                            # bytes after the labels
+    ], ids=["truncated-header", "trailing-bytes"])
+    def test_malformed_dataset_is_usage_error_naming_it(self, pipeline, tmp_path, capsys,
+                                                       command, damage):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train.ds", "test.ds"):
+            (data / name).write_bytes(damage((pipeline / "data" / name).read_bytes()))
+        out = tmp_path / "out"
+        inputs = {"train": ["--surrogate", pipeline / "surr" / "surrogate.ckpt"],
+                  "eval": ["--model", pipeline / "model" / "semantic.ckpt"],
+                  "sweep": ["--n-m-list", 20000]}[command]
+        assert run([command, "--out", out, "--data", data, *inputs]) == EXIT_USAGE
+        assert str(data) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_with_fewer_training_classes_is_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        data = tmp_path / "data"
+        assert run(["gen-data", "--out", data, "--train-count", 3, "--test-count", 8]) == EXIT_OK
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a surrogate was fitted")
+
+        monkeypatch.setattr(surrogate, "fit_channel", no_fit)
+        out = tmp_path / "out"
+        assert run(["sweep", "--out", out, "--data", data, "--n-m-list", 20000,
+                    "--pairs", 100, "--epochs", 1, "--trials", 1]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(data / "train.ds") in err and "3 classes" in err
         assert list(out.iterdir()) == []
 
     def test_model_with_fewer_classes_than_the_test_set_is_usage_error(self, pipeline,

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from helpers import make_image
 from mclink.dataset import (
     CLASS_NAMES,
+    DATASET_MAGIC,
     Dataset,
     DatasetFormatError,
     load_dataset,
     make_dataset,
-    make_image,
     one_hot,
     save_dataset,
 )
@@ -43,26 +44,23 @@ class TestImages:
             assert shifted.sum() == pytest.approx(clean.sum())   # disk never clipped
 
 
-def ref_make_dataset(rng, count, size=16, noise_std=0.15, max_shift=2):
+def ref_make_dataset(rng, count):
     """The per-image loop the table kernel replaced, kept as the reference."""
-    images = np.empty((count, size * size), dtype=float)
+    images = np.empty((count, 16 * 16), dtype=float)
     labels = np.empty(count, dtype=np.int64)
     for i in range(count):
         label = i % len(CLASS_NAMES)
-        images[i] = make_image(rng, label, size, noise_std, max_shift).reshape(-1)
+        images[i] = make_image(rng, label).reshape(-1)
         labels[i] = label
     return images, labels
 
 
 class TestDataset:
-    @pytest.mark.parametrize("count,kwargs", [
-        (0, {}), (7, {}), (40, {}), (7, {"size": 8}), (7, {"max_shift": 0}),
-        (9, {"size": 8, "noise_std": 0.4, "max_shift": 3}),
-    ])
-    def test_matches_per_image_reference_bit_for_bit(self, count, kwargs):
+    @pytest.mark.parametrize("count", [0, 7, 40])
+    def test_matches_per_image_reference_bit_for_bit(self, count):
         got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
-        got = make_dataset(got_rng, count, **kwargs)
-        images, labels = ref_make_dataset(want_rng, count, **kwargs)
+        got = make_dataset(got_rng, count)
+        images, labels = ref_make_dataset(want_rng, count)
         assert got.images.shape == images.shape and got.images.tobytes() == images.tobytes()
         assert got.labels.dtype == labels.dtype and got.labels.tobytes() == labels.tobytes()
         assert got_rng.random() == want_rng.random()     # the same draws were spent
@@ -121,6 +119,22 @@ class TestContainer:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DatasetFormatError, match="truncated"):
             load_dataset(path)
+
+    def test_rejects_a_file_ending_in_the_header_naming_it(self, tmp_path):
+        path = tmp_path / "toy.ds"
+        save_dataset(path, make_dataset(np.random.default_rng(0), 4))
+        path.write_bytes(path.read_bytes()[:len(DATASET_MAGIC) + 11])
+        with pytest.raises(DatasetFormatError, match="truncated") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+
+    def test_rejects_bytes_after_the_labels_naming_the_file(self, tmp_path):
+        path = tmp_path / "toy.ds"
+        save_dataset(path, make_dataset(np.random.default_rng(0), 4))
+        path.write_bytes(path.read_bytes() + bytes(3))
+        with pytest.raises(DatasetFormatError, match="3 byte") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
 
 
 def test_one_hot():

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mclink import particle
 from mclink.channel import capture_probability, scenario, with_overrides
 from mclink.particle import (
     ParticleSimConfig,
     default_sim_config,
-    displacement_moments,
     empirical_capture_curve,
     exact_presence,
     simulate_presence,
@@ -110,9 +110,11 @@ class TestPresence:
 
 class TestDisplacementMoments:
     def test_integrator_moments(self):
-        cfg = ParticleSimConfig(n_particles=20_000, record_times=(0.5, 1.0), seed=3)
-        for t, mean_x, var in displacement_moments(cfg, S1):
-            n = 20_000
+        # the first shard's cloud: mean x displacement v t, per-axis variance 2 D t
+        n = 20_000
+        clouds = particle._clouds(particle._shard_rng(3, 0), n, (0.5, 1.0), S1)
+        for t, pos in clouds:
+            mean_x, var = float(pos[:, 0].mean()), float(pos.var(axis=0, ddof=1).mean())
             sigma2 = 2 * S1.diffusion_um2_s * t
             assert abs(mean_x - S1.velocity_um_s * t) < 3 * math.sqrt(sigma2 / n)
             assert abs(var - sigma2) < 3 * sigma2 * math.sqrt(2.0 / n)

@@ -6,9 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers as ref
+from helpers import (
+    FrozenDraws,
+    gradient_check,
+    mixture_pdf,
+    mixture_variance,
+    small_mdn_net,
+    trapezoid,
+)
 from mclink import nn
 from mclink.channel import normalized_slot_moments, scenario, with_overrides
-from mclink.nn import Tensor, gradient_check
+from mclink.nn import Tensor
 from mclink.surrogate import (
     ChannelSurrogate,
     FIT_CONFIG,
@@ -22,7 +31,6 @@ from mclink.surrogate import (
     generate_pairs,
     mdn_forward,
     mdn_nll,
-    mixture_pdf,
     sample_surrogate,
     single_gaussian_nll,
     write_pairs_csv,
@@ -44,35 +52,34 @@ def zeroed_final_layer(net):
 # -- the composed ops the fused head nodes replaced, kept as the reference --
 
 def ref_head_tensors(raw, h):
-    pi = nn.softmax(raw[:, 0:h], axis=-1)
+    pi = ref.softmax(raw[:, 0:h], axis=-1)
     mu = raw[:, h:2 * h]
-    logvar = nn.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
-    return pi, mu, nn.exp(logvar)
+    logvar = ref.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    return pi, mu, ref.exp(logvar)
 
 
 def ref_mdn_nll(raw, targets):
     h = raw.data.shape[1] // 3
-    log_pi = nn.log_softmax(raw[:, 0:h], axis=-1)
+    log_pi = ref.log_softmax(raw[:, 0:h], axis=-1)
     mu = raw[:, h:2 * h]
-    logvar = nn.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
-    diff = mu - Tensor(targets.reshape(-1, 1))
-    log_kernel = (logvar + diff * diff * nn.exp(-logvar)) * -0.5 - HALF_LOG_2PI
-    return -nn.tmean(nn.logsumexp(log_pi + log_kernel, axis=-1))
+    logvar = ref.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    diff = ref.sub(mu, Tensor(targets.reshape(-1, 1)))
+    log_kernel = ref.sub(
+        ref.mul(ref.add(logvar, ref.mul(ref.mul(diff, diff), ref.exp(ref.neg(logvar)))), -0.5),
+        HALF_LOG_2PI)
+    return ref.neg(ref.tmean(ref.logsumexp(ref.add(log_pi, log_kernel), axis=-1)))
 
 
-def ref_sample(rng, raw, h, frozen_noise=None):
+def ref_sample(rng, raw, h):
     pi_t, mu_t, s2_t = ref_head_tensors(raw, h)
     n = pi_t.data.shape[0]
-    if frozen_noise is None:
-        u = rng.random(n)
-        idx = (u[:, None] > np.cumsum(pi_t.data, axis=1)).sum(axis=1)
-        idx = np.minimum(idx, pi_t.data.shape[1] - 1)
-        eps = rng.standard_normal(n)
-    else:
-        idx, eps = frozen_noise
-    mu_sel = nn.take_rows(mu_t, idx)
-    s2_sel = nn.take_rows(s2_t, idx)
-    return mu_sel + nn.sqrt(s2_sel) * Tensor(eps)
+    u = rng.random(n)
+    idx = (u[:, None] > np.cumsum(pi_t.data, axis=1)).sum(axis=1)
+    idx = np.minimum(idx, pi_t.data.shape[1] - 1)
+    eps = rng.standard_normal(n)
+    mu_sel = ref.take_rows(mu_t, idx)
+    s2_sel = ref.take_rows(s2_t, idx)
+    return ref.add(mu_sel, ref.mul(ref.sqrt(s2_sel), Tensor(eps)))
 
 
 class FixedOutput:
@@ -126,7 +133,8 @@ class TestMixtureParams:
     def test_mean_and_variance(self):
         mp = MixtureParams(pi=[0.25, 0.75], mu=[0.0, 2.0], sigma2=[1.0, 4.0])
         assert mp.mean() == pytest.approx(1.5)
-        assert mp.variance() == pytest.approx(0.25 * 1 + 0.75 * 4 + 0.25 * 2.25 + 0.75 * 0.25)
+        assert mixture_variance(mp) == pytest.approx(
+            0.25 * 1 + 0.75 * 4 + 0.25 * 2.25 + 0.75 * 0.25)
 
     def test_integrates_to_one(self):
         grid = np.linspace(-10.0, 10.0, 20001)
@@ -135,7 +143,7 @@ class TestMixtureParams:
             raw = rng.uniform(0.2, 3.0, size=2)
             mp = MixtureParams(pi=raw / raw.sum(), mu=rng.uniform(-1, 2, 2),
                                sigma2=rng.uniform(0.01, 2.0, 2))
-            mass = np.trapezoid(mixture_pdf(mp, grid), grid)
+            mass = trapezoid(mixture_pdf(mp, grid), grid)
             assert abs(mass - 1.0) < 1e-3
 
 
@@ -209,7 +217,7 @@ class TestMdnNll:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        net = build_mdn_net(rng, hidden=6)
+        net = small_mdn_net(rng, hidden=6)
         ctx = rng.uniform(size=(5, 2))
         tgt = rng.uniform(size=5)
         assert gradient_check(lambda: mdn_nll(net, (ctx, tgt)), net.parameters()) < 1e-4
@@ -219,7 +227,7 @@ class TestMdnNll:
         ctx = rng.uniform(size=(2000, 2))
         tgt = ctx[:, 0] + 0.05 * rng.standard_normal(2000)
         net = build_mdn_net(rng)
-        opt = nn.SGD(net.parameters(), lr=1e-3, momentum=0.9)
+        opt = nn.SGD(net.parameters(), lr=1e-3)
         history = []
         for _ in range(10):
             order = rng.permutation(2000)
@@ -305,27 +313,22 @@ class TestSampleSurrogate:
         mp = MixtureParams(pi=[0.3, 0.7], mu=[0.0, 1.0], sigma2=[0.04, 0.09])
         row = np.concatenate([np.log(mp.pi), mp.mu, np.log(mp.sigma2)])
         draws = sample_surrogate(np.random.default_rng(1), Tensor(np.tile(row, (100_000, 1)))).data
-        se = math.sqrt(mp.variance() / 100_000)
+        se = math.sqrt(mixture_variance(mp) / 100_000)
         assert abs(draws.mean() - mp.mean()) < 3 * se
 
     def test_reparameterized_gradient_through_mean(self):
         raw = Tensor(np.array([[0.0, -800.0, 0.5, 2.0, math.log(0.25), math.log(0.25)]]),
                      requires_grad=True)
-        frozen = (np.array([0]), np.array([0.37]))
+        frozen = FrozenDraws([0], [0.37])
 
         def loss_fn():
-            return nn.tsum(sample_surrogate(None, raw, frozen_noise=frozen))
+            return ref.tsum(sample_surrogate(frozen, raw))
 
         loss_fn().backward()
         assert raw.grad[0, 2] == pytest.approx(1.0, rel=1e-12)
         assert raw.grad[0, 3] == 0.0
         assert np.all(raw.grad[0, :2] == 0.0)       # the component is held constant
         assert gradient_check(loss_fn, [raw]) < 1e-6
-
-    def test_frozen_index_out_of_range_rejected(self):
-        raw = Tensor(np.zeros((2, 6)))
-        with pytest.raises(ValueError, match="component"):
-            sample_surrogate(None, raw, frozen_noise=(np.array([0, 2]), np.zeros(2)))
 
 
 class TestFusedHeads:
@@ -346,8 +349,8 @@ class TestFusedHeads:
             want = ref_mdn_nll(want_raw, targets)
             assert got._parents == (got_raw,)           # one node on the raw output
             assert same_bytes(got.data, want.data)
-            (got * upstream).backward()
-            (want * upstream).backward()
+            ref.mul(got, upstream).backward()
+            ref.mul(want, upstream).backward()
             assert same_bytes(got_raw.grad, want_raw.grad)
 
     def test_nll_parameter_gradients_match_composed_ops(self):
@@ -373,17 +376,21 @@ class TestFusedHeads:
         weights = rng.normal(size=rows)
         weights[::4], weights[1::4] = 0.0, -0.0         # zero upstream gradients of both signs
         frozen = (rng.integers(0, h, size=rows), rng.standard_normal(rows))
-        for noise in (None, frozen):
+        for frozen_draws in (False, True):
             got_raw = Tensor(data.copy(), requires_grad=True)
             want_raw = Tensor(data.copy(), requires_grad=True)
-            got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = sample_surrogate(got_rng, got_raw, frozen_noise=noise)
-            want = ref_sample(want_rng, want_raw, h, frozen_noise=noise)
+            if frozen_draws:
+                got_rng, want_rng = FrozenDraws(*frozen), FrozenDraws(*frozen)
+            else:
+                got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+            got = sample_surrogate(got_rng, got_raw)
+            want = ref_sample(want_rng, want_raw, h)
             assert got._parents == (got_raw,)
             assert same_bytes(got.data, want.data)
-            assert got_rng.random() == want_rng.random()   # the same draws were spent
-            nn.tsum(got * Tensor(weights)).backward()
-            nn.tsum(want * Tensor(weights)).backward()
+            if not frozen_draws:
+                assert got_rng.random() == want_rng.random()   # the same draws were spent
+            ref.tsum(ref.mul(got, Tensor(weights))).backward()
+            ref.tsum(ref.mul(want, Tensor(weights))).backward()
             assert same_bytes(got_raw.grad, want_raw.grad)
 
     def test_sample_tensor_context_gradient_matches_composed_ops(self):
@@ -394,8 +401,8 @@ class TestFusedHeads:
         got = surr.sample_tensor(got_ctx, np.random.default_rng(10))
         want = ref_sample(np.random.default_rng(10), surr.net.forward(want_ctx), surr.h)
         assert same_bytes(got.data, want.data)
-        nn.tsum(got * got).backward()
-        nn.tsum(want * want).backward()
+        ref.tsum(ref.mul(got, got)).backward()
+        ref.tsum(ref.mul(want, want)).backward()
         assert same_bytes(got_ctx.grad, want_ctx.grad)
 
 
@@ -477,8 +484,8 @@ class TestFitChannel:
             for w_prev in (0.25, 0.75):
                 mp = mdn_forward(surr.net, (w_curr, w_prev))
                 _, sim_var = normalized_slot_moments(S1, w_curr, [w_prev])
-                assert mp.variance() > 0.0
-                assert 0.5 < mp.variance() / sim_var < 2.0
+                assert mixture_variance(mp) > 0.0
+                assert 0.5 < mixture_variance(mp) / sim_var < 2.0
 
     def test_trained_mixture_normalizes_over_line(self, fitted_surrogate):
         surr, _, _ = fitted_surrogate
@@ -486,7 +493,7 @@ class TestFitChannel:
         for w_curr in (0.0, 0.25, 0.5, 0.75, 1.0):
             for w_prev in (0.0, 0.5, 1.0):
                 mp = mdn_forward(surr.net, (w_curr, w_prev))
-                mass = np.trapezoid(mixture_pdf(mp, grid), grid)
+                mass = trapezoid(mixture_pdf(mp, grid), grid)
                 assert abs(mass - 1.0) < 1e-3
 
     def test_non_finite_loss_raises_with_history(self):

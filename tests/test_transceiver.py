@@ -8,10 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import FrozenDraws, gradient_check, small_mdn_net
 from mclink import nn, transceiver
 from mclink.channel import observe_frames, scenario, with_overrides
 from mclink.dataset import make_dataset, one_hot
-from mclink.nn import DenseNet, Tensor, gradient_check
+from mclink.nn import DenseNet, Tensor
 from mclink.surrogate import (
     ChannelSurrogate,
     FIT_CONFIG,
@@ -58,7 +59,7 @@ class IdentitySurrogate:
 
     frozen = True
 
-    def sample_tensor(self, ctx, rng, frozen_noise=None):
+    def sample_tensor(self, ctx, rng):
         return ctx[:, 0]
 
 
@@ -133,11 +134,10 @@ class TestTransmitTrain:
         x = rng.uniform(size=(2, 256))
         z = one_hot(np.array([1, 3]), 4)
         b, k = 2, small_model.symbols
-        frozen = (np.zeros(b * k, dtype=np.intp), rng.standard_normal(b * k))
+        frozen = FrozenDraws(np.zeros(b * k), rng.standard_normal(b * k))
 
         def loss_fn():
-            y = transmit_train(None, small_model, frozen_surrogate, x,
-                               frozen_noise=frozen)
+            y = transmit_train(frozen, small_model, frozen_surrogate, x)
             return nn.cross_entropy(y, z)
 
         for p in small_model.parameters():
@@ -172,13 +172,13 @@ class TestEndToEndGradient:
             image_shape=(6, 1, 1),
             input_mean=np.zeros(6), input_std=np.ones(6),
         )
-        surr = ChannelSurrogate(net=build_mdn_net(rng, hidden=5)).freeze()
+        surr = ChannelSurrogate(net=small_mdn_net(rng, hidden=5)).freeze()
         x = rng.uniform(size=(2, 6))
         z = one_hot(np.array([0, 1]), 2)
-        frozen = (rng.integers(0, 2, size=6).astype(np.intp), rng.standard_normal(6))
+        frozen = FrozenDraws(rng.integers(0, 2, size=6), rng.standard_normal(6))
 
         def loss_fn():
-            y = transmit_train(None, model, surr, x, frozen_noise=frozen)
+            y = transmit_train(frozen, model, surr, x)
             return nn.cross_entropy(y, z)
 
         assert gradient_check(loss_fn, model.parameters()) < 1e-3
@@ -469,9 +469,11 @@ class TestCheckpoint:
             assert np.array_equal(a.data, b.data)
 
     def test_widths_come_from_the_nets(self):
-        model = build_semantic_model(np.random.default_rng(25), symbols=5, num_classes=3)
-        assert (model.symbols, model.num_classes) == (5, 3)
-        assert model.encoder.dims[-1] == model.quantizer.dims[-1] == 5
+        model = build_semantic_model(np.random.default_rng(25), num_classes=3)
+        assert (model.symbols, model.num_classes) == (transceiver.SYMBOLS, 3)
+        assert model.encoder.dims[-1] == model.quantizer.dims[-1] == transceiver.SYMBOLS
+        model.decoder = DenseNet([transceiver.SYMBOLS, 5], ["softmax"], np.random.default_rng(26))
+        assert model.num_classes == 5
         with pytest.raises(TypeError):
             SemanticModel(encoder=model.encoder, quantizer=model.quantizer,
                           decoder=model.decoder, symbols=5, num_classes=3,
