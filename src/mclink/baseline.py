@@ -10,9 +10,9 @@ parity with the semantic system is by slot count: the codec spends 28
 slots per 16x16 image against the semantic frame's 16.
 
 Each codec step (``source_encode``, ``channel_encode``, ``ook_transmit``,
-``channel_decode``, ``source_decode``) takes one image or bitstream (n,)
-or a batch (B, n) and returns the same rank, so a batch of images runs
-through the pipeline as one chain of array operations. The transmit side
+``channel_decode``, ``source_decode``) takes a batch of images or
+bitstreams (B, n) and returns one, so a batch of images runs through the
+pipeline as one chain of array operations. The transmit side
 draws no randomness, so an evaluation source- and channel-codes the test
 set once; each noise trial then draws only the OOK channel and runs only
 the receiver, on its own generator and concurrently with the other trials
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .channel import ChannelParams, capture_probability, observe_frames
+from .channel import ChannelParams, observe_frames
 from .dataset import Dataset, one_hot
 from .nn import DenseNet, Tensor
 from .transceiver import standardization_stats, trial_accuracy
@@ -49,12 +49,6 @@ class CodecConfig:
     :func:`baseline_evaluate`, so both keep the parameter until it stops."""
 
 
-def _batch(x, dtype) -> tuple[np.ndarray, bool]:
-    """View one (n,) array or a batch (B, n) as a batch; True when it was one."""
-    x = np.asarray(x, dtype=dtype)
-    return np.atleast_2d(x), x.ndim == 1
-
-
 def _source_grid(image_shape) -> tuple[int, int]:
     """Rows and columns of the downsampled image; DOWNSAMPLE must divide both dims."""
     h, w = image_shape
@@ -63,27 +57,25 @@ def _source_grid(image_shape) -> tuple[int, int]:
     return h // DOWNSAMPLE, w // DOWNSAMPLE
 
 
-def source_encode(image: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
+def source_encode(images: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Downsample by block mean and quantize to one bit per block, round(mean)."""
     rows, cols = _source_grid(image_shape)
-    img, one = _batch(image, float)
+    img = np.asarray(images, dtype=float)
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("pixel values must lie in [0, 1]")
     small = img.reshape(len(img), rows, DOWNSAMPLE, cols, DOWNSAMPLE).mean(axis=(2, 4))
-    bits = np.round(small).astype(np.uint8).reshape(len(img), -1)
-    return bits[0] if one else bits
+    return np.round(small).astype(np.uint8).reshape(len(img), -1)
 
 
 def source_decode(bits: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Rebuild full-resolution images from source bitstreams."""
     rows, cols = _source_grid(image_shape)
-    bits, one = _batch(bits, float)
+    bits = np.asarray(bits, dtype=float)
     if bits.shape[1] != rows * cols:
         raise ValueError(f"expected {rows * cols} source bits, got {bits.shape[1]}")
     small = bits.reshape(len(bits), rows, cols)
     img = np.repeat(np.repeat(small, DOWNSAMPLE, axis=1), DOWNSAMPLE, axis=2)
-    img = img.reshape(len(bits), -1)
-    return img[0] if one else img
+    return img.reshape(len(bits), -1)
 
 
 def source_bit_count(image_shape=(16, 16)) -> int:
@@ -93,41 +85,31 @@ def source_bit_count(image_shape=(16, 16)) -> int:
 
 def channel_encode(bits: np.ndarray) -> np.ndarray:
     """Hamming(7,4)-code bitstreams, zero-padded to whole blocks."""
-    bits, one = _batch(bits, np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
     blocks = np.pad(bits, ((0, 0), (0, (-bits.shape[1]) % 4))).reshape(len(bits), -1, 4)
-    coded = (blocks @ _HAMMING_G % 2).astype(np.uint8).reshape(len(bits), -1)
-    return coded[0] if one else coded
+    return (blocks @ _HAMMING_G % 2).astype(np.uint8).reshape(len(bits), -1)
 
 
 def channel_decode(bits: np.ndarray) -> np.ndarray:
     """Decode Hamming(7,4) bitstreams; corrects one error per block."""
-    bits, one = _batch(bits, np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
     if bits.shape[1] % 7:
         raise ValueError("Hamming-coded length must be a multiple of 7")
     blocks = bits.reshape(len(bits), -1, 7)
     syndrome = blocks @ _HAMMING_H.T % 2
     blocks = blocks ^ _SYNDROME_FLIP[syndrome @ [1, 2, 4]]
-    decoded = blocks[:, :, :4].reshape(len(bits), -1)
-    return decoded[0] if one else decoded
-
-
-def detection_threshold(p: ChannelParams) -> float:
-    """Count threshold separating 'released' from 'silent' slots: half the
-    signal mean at the observation instant."""
-    return p.max_molecules * capture_probability(p, p.observation_time()) / 2.0
+    return blocks[:, :, :4].reshape(len(bits), -1)
 
 
 def ook_transmit(rng: np.random.Generator, p: ChannelParams, bits: np.ndarray) -> np.ndarray:
-    """On-off key a bitstream over consecutive slots and hard-detect it.
+    """On-off key a batch of bitstreams (B, n) over consecutive slots and
+    hard-detect them.
 
-    Accepts one stream (n,) or a batch (B, n); each stream starts after a
-    silent slot and suffers ISI across its own bits.
+    Each stream starts after a silent slot and suffers ISI across its own
+    bits. A slot reads 1 when its normalized symbol reaches 0.5, half the
+    normalized signal mean.
     """
-    bits, one = _batch(bits, np.uint8)
-    w_rx = observe_frames(rng, p, bits.astype(float))
-    counts = w_rx * (p.max_molecules * capture_probability(p, p.observation_time()))
-    detected = (counts >= detection_threshold(p)).astype(np.uint8)
-    return detected[0] if one else detected
+    return (observe_frames(rng, p, np.asarray(bits, dtype=float)) >= 0.5).astype(np.uint8)
 
 
 @dataclass
@@ -139,13 +121,13 @@ class BaselineClassifier:
     input_std: np.ndarray
 
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        x = (np.atleast_2d(images) - self.input_mean) / self.input_std
+        x = (images - self.input_mean) / self.input_std
         return self.net.forward(Tensor(x)).data
 
 
 def clean_reconstructions(images: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Codec round trip without a channel, for training and references."""
-    return source_decode(source_encode(np.atleast_2d(images), image_shape), image_shape)
+    return source_decode(source_encode(images, image_shape), image_shape)
 
 
 CLASSIFIER_CONFIG = nn.TrainConfig(epochs=30, batch_size=64, lr=2e-2)
@@ -179,7 +161,7 @@ def transmit_images(
 ) -> np.ndarray:
     """OOK channel and receiver for a batch of channel-coded bitstreams (B, n),
     as :func:`channel_encode` returns them; returns reconstructed images."""
-    decoded = channel_decode(ook_transmit(rng, p, np.atleast_2d(coded)))
+    decoded = channel_decode(ook_transmit(rng, p, coded))
     return source_decode(decoded[:, :source_bit_count(image_shape)], image_shape)
 
 

@@ -59,9 +59,11 @@ class ChannelParams:
     max_molecules: int          # per-slot molecule budget
     noise_std: float = DEFAULT_NOISE_STD   # additive count noise (std, molecules)
     memory: int = 1             # ISI memory length in slots
-    observe_at_s: float | None = None      # in-slot observation instant; None = min(peak, slot)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.distance_um > 0:
             raise ValueError("distance_um must be positive")
         if not self.radius_um > 0:
@@ -80,20 +82,14 @@ class ChannelParams:
             raise ValueError("noise_std must be non-negative")
         if self.memory < 0:
             raise ValueError("memory must be non-negative")
-        if self.observe_at_s is not None and not 0 < self.observe_at_s <= self.slot_s:
-            raise ValueError("observe_at_s must lie in (0, slot_s]")
 
     def receiver_volume_um3(self) -> float:
         return 4.0 * math.pi * self.radius_um ** 3 / 3.0
 
     def observation_time(self) -> float:
-        """Observation instant within a slot.
-
-        Defaults to the capture-probability peak, capped at the slot length,
-        so the deterministic default maximizes the signal term.
+        """Observation instant within a slot: the capture-probability peak,
+        capped at the slot length, so the observation maximizes the signal term.
         """
-        if self.observe_at_s is not None:
-            return self.observe_at_s
         return min(peak_time(self), self.slot_s)
 
 
@@ -298,7 +294,9 @@ def observe_frames(rng: np.random.Generator, p: ChannelParams, frames: np.ndarra
         raise ValueError("release fractions outside [0, 1]")
     t = p.observation_time()
     batch, k = frames.shape
-    probs = [capture_probability(p, t + i * p.slot_s) for i in range(p.memory + 1)]
+    # only lags shorter than the frame reach a slot of it
+    lags = min(p.memory, max(k - 1, 0))
+    probs = [capture_probability(p, t + i * p.slot_s) for i in range(lags + 1)]
     counts = np.zeros((batch, k))
     for i, prob in enumerate(probs):
         # contribution of the slot released i slots before the observed one
@@ -331,9 +329,8 @@ def sir_at(p: ChannelParams, w_seq, j: int, t: float) -> float:
         return 0.0
     signal = count_moments(p, w_seq[j], t)[0]
     interference = 0.0
-    for i in range(1, p.memory + 1):
-        if j - i >= 0:
-            interference += count_moments(p, w_seq[j - i], t + i * p.slot_s)[0]
+    for i in range(1, min(p.memory, j) + 1):
+        interference += count_moments(p, w_seq[j - i], t + i * p.slot_s)[0]
     denom = interference + p.noise_std
     if denom == 0.0:
         return math.inf

@@ -65,6 +65,14 @@ def real(value) -> float:
     return float(value)
 
 
+def positive(value) -> float:
+    """Flag type of a positive, finite real number."""
+    number = real(value)
+    if not (math.isfinite(number) and number > 0):
+        raise UsageError(f"must be a positive finite number, got {number!r}")
+    return number
+
+
 def switch(value) -> bool:
     """Flag type of an on/off flag: the bare flag, or a JSON boolean in a config."""
     if not isinstance(value, bool):
@@ -125,7 +133,7 @@ FLAGS = {
         ("surrogate", str, None, "channel surrogate checkpoint"),
         ("epochs", COUNT, transceiver.TRAIN_CONFIG.epochs, "maximum epochs"),
         ("batch", COUNT, transceiver.TRAIN_CONFIG.batch_size, "images per batch"),
-        ("lr", real, transceiver.TRAIN_CONFIG.lr, "learning rate"),
+        ("lr", positive, transceiver.TRAIN_CONFIG.lr, "learning rate"),
     ),
     "eval": (
         ("model", str, None, "semantic model checkpoint"),
@@ -267,7 +275,7 @@ def cmd_validate_physics(params: dict, seed: int) -> int:
 
     curve = particle.empirical_capture_curve(cfg, p)
     out = Path(params["out"])
-    csv_path = out / f"capture_{params['scenario']}.csv"
+    csv_path = out / f"capture_{Path(params['scenario']).name}.csv"
     particle.write_capture_csv(csv_path, curve, cfg, p)
 
     breaches = [t for t, _, _, rel in curve if t in checked and rel > PHYSICS_REL_TOL]
@@ -295,7 +303,7 @@ def cmd_sim_sir(params: dict, seed: int) -> int:
     outputs = []
     for name, p in links:
         trace = channel.sir_trace(p, [1.0] * params["symbols"], params["dt"])
-        path = out / f"sir_{name}.csv"
+        path = out / f"sir_{Path(name).name}.csv"
         channel.write_sir_csv(path, trace)
         outputs.append(path.name)
         # with no noise and no ISI every sample is inf

@@ -288,19 +288,14 @@ class DenseNet:
         self.biases = [Tensor(np.array(b, dtype=np.float64), requires_grad=True) for b in biases]
 
     def forward(self, x) -> Tensor:
-        """One fused ``dense`` node per layer; accepts (B, d) or (d,) input."""
+        """One fused ``dense`` node per layer on a (B, d) input."""
         h = as_tensor(x)
-        squeeze = h.data.ndim == 1
-        if squeeze:
-            h = reshape(h, (1, -1))
-        if h.data.shape[1] != self.dims[0]:
+        if h.data.ndim != 2 or h.data.shape[1] != self.dims[0]:
             raise ValueError(
-                f"input width {h.data.shape[1]} does not match first layer ({self.dims[0]})"
+                f"input of shape {h.data.shape} does not match first layer width ({self.dims[0]})"
             )
         for w, b, tag in zip(self.weights, self.biases, self.activations):
             h = dense(h, w, b, tag)
-        if squeeze:
-            h = reshape(h, (-1,))
         return h
 
     def parameters(self) -> list[Tensor]:

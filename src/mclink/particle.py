@@ -33,6 +33,7 @@ from . import runio
 from .channel import ChannelParams, capture_probability
 
 SHARD_SIZE = 20_000
+EXACT_GRID = 200_001     # radial quadrature points of exact_presence
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def empirical_capture_curve(
     return rows
 
 
-def exact_presence(p: ChannelParams, t: float, n_grid: int = 200_001) -> float:
+def exact_presence(p: ChannelParams, t: float) -> float:
     """Exact probability that N(v t e_x, 2 D t I3) lies in the receiver sphere.
 
     Independent 1-D quadrature of the radial density of the offset from the
@@ -138,7 +139,7 @@ def exact_presence(p: ChannelParams, t: float, n_grid: int = 200_001) -> float:
     s = math.sqrt(2.0 * p.diffusion_um2_s * t)
     d = abs(p.distance_um - p.velocity_um_s * t)
     r = p.radius_um
-    u = np.linspace(0.0, r, n_grid)
+    u = np.linspace(0.0, r, EXACT_GRID)
     if d < 1e-12:
         pdf = math.sqrt(2.0 / math.pi) * u * u / s ** 3 * np.exp(-u * u / (2 * s * s))
     else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,35 +38,12 @@ HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 SURROGATE_ROLE = "channel_surrogate"
 
 
-@dataclass(frozen=True)
-class MixtureParams:
-    """Mixture weights/means/variances; rows are contexts for batched use."""
+class MixtureParams(NamedTuple):
+    """Mixture weights, means and variances, each (rows, h): one row per context."""
 
     pi: np.ndarray
     mu: np.ndarray
     sigma2: np.ndarray
-
-    def __post_init__(self):
-        pi = np.atleast_1d(np.asarray(self.pi, dtype=float))
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
-        if not pi.shape == mu.shape == sigma2.shape:
-            raise ValueError("pi, mu, sigma2 must share a shape")
-        sums = pi.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > 1e-6:
-            raise ValueError("mixture weights must sum to 1 within 1e-6")
-        if pi.min() < 0:
-            raise ValueError("mixture weights must be non-negative")
-        if sigma2.min() < SIGMA2_MIN:
-            raise ValueError(f"variances must be >= {SIGMA2_MIN}")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", sigma2)
-
-    def mean(self) -> np.ndarray | float:
-        m = (self.pi * self.mu).sum(axis=-1)
-        return float(m) if m.ndim == 0 else m
-
 
 
 def generate_pairs(
@@ -98,20 +76,17 @@ def build_mdn_net(rng: np.random.Generator) -> DenseNet:
     return DenseNet(dims, activations, rng=rng)
 
 
-def mdn_forward(net: DenseNet, context) -> MixtureParams:
-    """Numeric mixture parameters for one context (w_curr, w_prev) or a batch.
+def mdn_forward(net: DenseNet, contexts: np.ndarray) -> MixtureParams:
+    """Numeric mixture parameters for an (n, 2) batch of (w_curr, w_prev) contexts.
 
-    The raw (rows, 3h) outputs split into pi through a softmax, mu as-is,
+    The raw (n, 3h) outputs split into pi through a softmax, mu as-is,
     and sigma2 as exp of the log-variance clamped to [LOGVAR_MIN, LOGVAR_MAX].
     """
-    ctx = np.atleast_2d(np.asarray(context, dtype=float))
-    raw = net.forward(Tensor(ctx)).data
+    raw = net.forward(Tensor(contexts)).data
     h = raw.shape[1] // 3
     pi = nn.apply_activation(raw[:, 0:h], "softmax")
     mu = raw[:, h:2 * h].copy()
     sigma2 = np.exp(np.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX))
-    if np.asarray(context).ndim == 1:
-        pi, mu, sigma2 = pi[0], mu[0], sigma2[0]
     return MixtureParams(pi=pi, mu=mu, sigma2=sigma2)
 
 

@@ -23,7 +23,7 @@ import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,10 @@ from .surrogate import ChannelSurrogate
 SEMANTIC_ROLE = "semantic_model"
 
 SYMBOLS = 16                         # slots per frame, k
-DEFAULT_CLASSES = 4
 ENCODER_HIDDEN = (128, 64, 64, 32)   # five layers to the k-dim feature
 QUANTIZER_HIDDEN = (32, 32)          # three layers, sigmoid head
 DECODER_HIDDEN = (64, 32)            # three layers, softmax head
+WILSON_Z = 1.959963984540054         # two-sided 95% normal quantile
 
 
 @dataclass
@@ -50,8 +50,8 @@ class SemanticModel:
     quantizer: DenseNet
     decoder: DenseNet
     image_shape: tuple[int, int, int]
-    input_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    input_std: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    input_mean: np.ndarray
+    input_std: np.ndarray
 
     @property
     def symbols(self) -> int:
@@ -96,10 +96,10 @@ class SemanticModel:
 
 def build_semantic_model(
     rng: np.random.Generator,
-    image_shape: tuple[int, int, int] = (16, 16, 1),
-    num_classes: int = DEFAULT_CLASSES,
-    input_mean: np.ndarray | None = None,
-    input_std: np.ndarray | None = None,
+    image_shape: tuple[int, int, int],
+    num_classes: int,
+    input_mean: np.ndarray,
+    input_std: np.ndarray,
 ) -> SemanticModel:
     d = int(np.prod(image_shape))
     encoder = DenseNet([d, *ENCODER_HIDDEN, SYMBOLS],
@@ -108,10 +108,6 @@ def build_semantic_model(
                          ["leaky_relu"] * 2 + ["sigmoid"], rng=rng)
     decoder = DenseNet([SYMBOLS, *DECODER_HIDDEN, num_classes],
                        ["leaky_relu"] * 2 + ["softmax"], rng=rng)
-    if input_mean is None:
-        input_mean = np.zeros(d)
-    if input_std is None:
-        input_std = np.ones(d)
     return SemanticModel(
         encoder=encoder, quantizer=quantizer, decoder=decoder, image_shape=image_shape,
         input_mean=np.asarray(input_mean, dtype=float),
@@ -127,10 +123,9 @@ def standardization_stats(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_batch(model: SemanticModel, images: np.ndarray) -> Tensor:
     """Release fractions W in (0,1)^(B,k) for a standardized image batch."""
-    images = np.atleast_2d(images)
-    width, expected = int(np.prod(images.shape[1:])), int(np.prod(model.image_shape))
-    if images.ndim != 2 or width != expected:
-        raise ValueError(f"images have {width} values each, model expects {expected}")
+    expected = int(np.prod(model.image_shape))
+    if images.ndim != 2 or images.shape[1] != expected:
+        raise ValueError(f"images of shape {images.shape}; the model expects (batch, {expected})")
     x = Tensor(model.standardize(images))
     return model.quantizer.forward(model.encoder.forward(x))
 
@@ -176,8 +171,9 @@ def transmit_eval(
     return model.decoder.forward(Tensor(w_rx)).data
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    z = WILSON_Z
     if total <= 0:
         raise ValueError("total must be positive")
     phat = successes / total

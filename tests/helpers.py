@@ -5,9 +5,11 @@ The package trains through fused graph nodes (``nn.dense``,
 and builds its dataset with a table kernel. Each is bit-identical to a
 composition of simpler steps, and those compositions live here as the
 references the tests compare against: the elementwise autodiff ops with
-their finite-difference checker, the mixture density, and the per-image
-dataset loop. ``sub`` and ``neg`` spell the ``a - b`` and ``-a`` of the
-composed graphs as the same ops, in the same order.
+their finite-difference checker, the mixture density and mean, the OOK
+detector's count threshold, and the per-image dataset loop. ``sub`` and
+``neg`` spell the ``a - b`` and ``-a`` of the composed graphs as the same
+ops, in the same order. Beside them sit stand-ins: an unstandardized
+semantic model and a generator that replays frozen draws.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from mclink.channel import ChannelParams, capture_probability
 from mclink.dataset import IMAGE_SIZE, MAX_SHIFT, PIXEL_NOISE_STD, _base_pattern
 from mclink.nn import (
     DenseNet,
@@ -31,6 +34,7 @@ from mclink.nn import (
     as_tensor,
 )
 from mclink.surrogate import COMPONENTS, MDN_LAYERS, MixtureParams
+from mclink.transceiver import SemanticModel, build_semantic_model
 
 
 # -- elementwise autodiff ops ---------------------------------------------
@@ -213,19 +217,25 @@ def gradient_check(loss_fn: Callable[[], Tensor], params, h: float = 1e-5) -> fl
 
 # -- the mixture channel ----------------------------------------------------
 
-def mixture_pdf(mp: MixtureParams, w_rx) -> float | np.ndarray:
-    """Mixture density at w_rx; broadcasts over batched parameters."""
-    w = np.asarray(w_rx, dtype=float)
-    w_exp = w[..., None] if mp.pi.ndim > 1 or w.ndim > 0 else w
-    kernel = np.exp(-((w_exp - mp.mu) ** 2) / (2.0 * mp.sigma2))
-    dens = (mp.pi * kernel / np.sqrt(2.0 * math.pi * mp.sigma2)).sum(axis=-1)
-    return float(dens) if dens.ndim == 0 else dens
+def mixture(pi, mu, sigma2) -> MixtureParams:
+    """A one-row mixture from the weights, means and variances of its components."""
+    return MixtureParams(*(np.array([values], dtype=float) for values in (pi, mu, sigma2)))
 
 
-def mixture_variance(mp: MixtureParams) -> np.ndarray | float:
+def mixture_pdf(mp: MixtureParams, w_rx) -> np.ndarray:
+    """Density of each row's mixture at each w_rx, of shape ``w_rx.shape + (rows,)``."""
+    w = np.asarray(w_rx, dtype=float)[..., None, None]
+    kernel = np.exp(-((w - mp.mu) ** 2) / (2.0 * mp.sigma2))
+    return (mp.pi * kernel / np.sqrt(2.0 * math.pi * mp.sigma2)).sum(axis=-1)
+
+
+def mixture_mean(mp: MixtureParams) -> np.ndarray:
+    return (mp.pi * mp.mu).sum(axis=-1)
+
+
+def mixture_variance(mp: MixtureParams) -> np.ndarray:
     m = (mp.pi * mp.mu).sum(axis=-1, keepdims=True)
-    v = (mp.pi * (mp.sigma2 + (mp.mu - m) ** 2)).sum(axis=-1)
-    return float(v) if v.ndim == 0 else v
+    return (mp.pi * (mp.sigma2 + (mp.mu - m) ** 2)).sum(axis=-1)
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
@@ -238,6 +248,30 @@ def small_mdn_net(rng: np.random.Generator, hidden: int) -> DenseNet:
     for checks that visit every parameter."""
     return DenseNet([2] + [hidden] * (MDN_LAYERS - 1) + [3 * COMPONENTS],
                     ["leaky_relu"] * (MDN_LAYERS - 1) + ["identity"], rng=rng)
+
+
+# -- the OOK detector ------------------------------------------------------
+
+def detection_threshold(p: ChannelParams) -> float:
+    """Count threshold separating 'released' from 'silent' slots: half the
+    signal mean at the observation instant."""
+    return p.max_molecules * capture_probability(p, p.observation_time()) / 2.0
+
+
+def ook_count_decisions(w_rx: np.ndarray, p: ChannelParams) -> np.ndarray:
+    """OOK decisions on received counts: the normalized symbols ``w_rx`` scaled
+    back to counts and compared with :func:`detection_threshold`."""
+    counts = w_rx * (p.max_molecules * capture_probability(p, p.observation_time()))
+    return (counts >= detection_threshold(p)).astype(np.uint8)
+
+
+# -- the semantic model ---------------------------------------------------
+
+def unstandardized_model(rng: np.random.Generator, image_shape=(16, 16, 1),
+                         num_classes: int = 4) -> SemanticModel:
+    """An untrained semantic model whose standardization leaves images as they are."""
+    d = int(np.prod(image_shape))
+    return build_semantic_model(rng, image_shape, num_classes, np.zeros(d), np.ones(d))
 
 
 class FrozenDraws:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import helpers as ref
 from mclink import baseline, transceiver
 from mclink.baseline import (
     CodecConfig,
@@ -12,7 +13,6 @@ from mclink.baseline import (
     channel_decode,
     channel_encode,
     clean_reconstructions,
-    detection_threshold,
     ook_transmit,
     source_bit_count,
     source_decode,
@@ -20,10 +20,9 @@ from mclink.baseline import (
     train_baseline_classifier,
     transmit_images,
 )
-from mclink.channel import capture_probability, scenario, with_overrides
+from mclink.channel import observe_frames, scenario, with_overrides
 from mclink.dataset import make_dataset
 from mclink.transceiver import (
-    build_semantic_model,
     evaluate_accuracy,
     trial_accuracy,
     wilson_interval,
@@ -129,17 +128,17 @@ class TestCodecConfig:
 
 class TestSourceCodec:
     def test_all_white_image_is_all_ones(self):
-        bits = source_encode(np.ones(256))
-        assert bits.shape == (16,) and np.all(bits == 1)
+        bits = source_encode(np.ones((1, 256)))
+        assert bits.shape == (1, 16) and np.all(bits == 1)
 
     def test_bit_count_arithmetic(self):
         assert source_bit_count() == 16
         assert source_bit_count((32, 16)) == 32
-        assert source_encode(np.random.default_rng(0).uniform(size=256)).size == 16
+        assert source_encode(np.random.default_rng(0).uniform(size=(1, 256))).size == 16
 
     def test_roundtrip_error_within_half_step(self):
         # each reconstructed block lies within half a step of its block's mean
-        img = np.random.default_rng(1).uniform(size=256)
+        img = np.random.default_rng(1).uniform(size=(1, 256))
         recon = source_decode(source_encode(img))
         means = img.reshape(4, 4, 4, 4).mean(axis=(1, 3))
         blocks = recon.reshape(4, 4, 4, 4)
@@ -151,12 +150,13 @@ class TestSourceCodec:
         img[:8, :8] = 1.0
         img[12:, 12:] = np.array([[1, 1, 1, 0]] * 4)    # mean 0.75 -> 1
         img[12:, :4] = np.array([[1, 0, 0, 0]] * 4)     # mean 0.25 -> 0
-        recon = source_decode(source_encode(img.reshape(-1))).reshape(16, 16)
+        recon = source_decode(source_encode(img.reshape(1, -1))).reshape(16, 16)
         want = np.zeros((16, 16))
         want[:8, :8] = want[12:, 12:] = 1.0
         assert np.array_equal(recon, want)
         # lossless on images that are already on the codec's grid
-        assert np.array_equal(source_decode(source_encode(want.reshape(-1))), want.reshape(-1))
+        assert np.array_equal(source_decode(source_encode(want.reshape(1, -1))),
+                              want.reshape(1, -1))
 
     def test_lossless_at_8bit_on_8bit_grid(self):
         # 8-bit images (levels k/255) whose 4x4 blocks each hold level 0 or 255
@@ -176,52 +176,52 @@ class TestSourceCodec:
 
     def test_non_divisible_dims_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            source_encode(np.zeros(18 * 16), (18, 16))
+            source_encode(np.zeros((1, 18 * 16)), (18, 16))
         with pytest.raises(ValueError, match="divisible"):
-            source_decode(np.zeros(16, dtype=np.uint8), (18, 16))
+            source_decode(np.zeros((1, 16), dtype=np.uint8), (18, 16))
         with pytest.raises(ValueError, match="divisible"):
             source_bit_count((18, 16))
 
     def test_out_of_range_pixels_rejected(self):
         with pytest.raises(ValueError):
-            source_encode(np.full(256, 1.5))
+            source_encode(np.full((1, 256), 1.5))
 
 
 class TestChannelCodes:
     def test_hamming_roundtrip(self):
         rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, size=32).astype(np.uint8)
+        bits = rng.integers(0, 2, size=(1, 32)).astype(np.uint8)
         coded = channel_encode(bits)
         assert coded.size == 56
         assert np.array_equal(channel_decode(coded), bits)
 
     def test_hamming_pads_to_block_multiple(self):
-        coded = channel_encode(np.array([1, 0, 1], dtype=np.uint8))
+        coded = channel_encode(np.array([[1, 0, 1]], dtype=np.uint8))
         assert coded.size == 7
-        assert np.array_equal(channel_decode(coded)[:3], [1, 0, 1])
+        assert np.array_equal(channel_decode(coded)[0, :3], [1, 0, 1])
 
     def test_hamming_corrects_every_single_error(self):
         for msg_bits in itertools.product((0, 1), repeat=4):
-            msg = np.array(msg_bits, dtype=np.uint8)
+            msg = np.array([msg_bits], dtype=np.uint8)
             coded = channel_encode(msg)
             for pos in range(7):
                 hit = coded.copy()
-                hit[pos] ^= 1
+                hit[0, pos] ^= 1
                 assert np.array_equal(channel_decode(hit), msg)
 
     def test_hamming_corrects_no_double_error(self):
         for msg_bits in itertools.product((0, 1), repeat=4):
-            msg = np.array(msg_bits, dtype=np.uint8)
+            msg = np.array([msg_bits], dtype=np.uint8)
             coded = channel_encode(msg)
             for a, b in itertools.combinations(range(7), 2):
                 hit = coded.copy()
-                hit[a] ^= 1
-                hit[b] ^= 1
+                hit[0, a] ^= 1
+                hit[0, b] ^= 1
                 assert not np.array_equal(channel_decode(hit), msg)
 
     def test_hamming_length_checked(self):
         with pytest.raises(ValueError, match="multiple of 7"):
-            channel_decode(np.zeros(10, dtype=np.uint8))
+            channel_decode(np.zeros((1, 10), dtype=np.uint8))
 
 
 class TestBatchCodec:
@@ -254,11 +254,11 @@ class TestBatchCodec:
             # losslessly when the levels are already bits
             on_grid = images[-8:]
             assert np.array_equal(clean_reconstructions(on_grid), np.round(on_grid))
-        # one image or bitstream in, one out
-        assert source_encode(images[0]).shape == src[0].shape
-        assert channel_encode(src[0]).shape == coded[0].shape
-        assert channel_decode(noisy[0]).shape == decoded[0].shape
-        assert source_decode(src[0]).shape == (256,)
+        # a batch of one codes as that row of the batch
+        assert np.array_equal(source_encode(images[:1]), src[:1])
+        assert np.array_equal(channel_encode(src[:1]), coded[:1])
+        assert np.array_equal(channel_decode(noisy[:1]), decoded[:1])
+        assert np.array_equal(source_decode(src[:1]), clean_reconstructions(images[:1]))
 
     def test_hamming_corrects_every_single_error_in_every_block(self):
         msgs = np.random.default_rng(41).integers(0, 2, size=(16, 32)).astype(np.uint8)
@@ -298,14 +298,22 @@ class TestBatchCodec:
 
 class TestOok:
     def test_auto_threshold_is_half_signal_mean(self):
-        t = S1.observation_time()
-        expected = S1.max_molecules * capture_probability(S1, t) / 2
-        assert detection_threshold(S1) == pytest.approx(expected, rel=1e-12)
+        # detecting at 0.5 on the normalized symbol takes the decisions of the
+        # count threshold at half the signal mean: draw for draw, and on the
+        # doubles next to 0.5
+        edge = np.array([[np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]])
+        bits = np.random.default_rng(9).integers(0, 2, size=(200, 28)).astype(np.uint8)
+        for name, n_m in itertools.product(("scenario1", "scenario2"), (1, 100, 1500, 20_000)):
+            p = with_overrides(scenario(name), max_molecules=n_m)
+            assert np.array_equal(ref.ook_count_decisions(edge, p), [[0, 1, 1]])
+            w_rx = observe_frames(np.random.default_rng(10), p, bits)
+            assert np.array_equal(ook_transmit(np.random.default_rng(10), p, bits),
+                                  ref.ook_count_decisions(w_rx, p))
 
     def test_clean_channel_is_error_free(self):
         quiet = with_overrides(S1, noise_std=0.0, memory=0)
         rng = np.random.default_rng(5)
-        bits = rng.integers(0, 2, size=10_000).astype(np.uint8)
+        bits = rng.integers(0, 2, size=(1, 10_000)).astype(np.uint8)
         detected = ook_transmit(rng, quiet, bits)
         ber = float(np.mean(detected != bits))
         assert ber < 1e-3      # 9-sigma margin at full budget: expect exactly 0
@@ -313,13 +321,13 @@ class TestOok:
     def test_all_silent_detects_zero(self):
         quiet = with_overrides(S1, noise_std=0.0)
         detected = ook_transmit(np.random.default_rng(6), quiet,
-                                np.zeros(500, dtype=np.uint8))
+                                np.zeros((1, 500), dtype=np.uint8))
         assert np.all(detected == 0)
 
     def test_starved_budget_is_coin_flip(self):
         starved = with_overrides(S1, max_molecules=1)
         rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, size=4000).astype(np.uint8)
+        bits = rng.integers(0, 2, size=(1, 4000)).astype(np.uint8)
         detected = ook_transmit(rng, starved, bits)
         ber = float(np.mean(detected != bits))
         assert abs(ber - 0.5) < 0.1
@@ -393,7 +401,7 @@ class TestPipeline:
     def test_empty_test_set_rejected_as_by_the_semantic_evaluator(self, toy_sets, classifier):
         _, test = toy_sets
         empty = type(test)(images=test.images[:0], labels=test.labels[:0])
-        model = build_semantic_model(np.random.default_rng(39))
+        model = ref.unstandardized_model(np.random.default_rng(39))
         with pytest.raises(ValueError) as semantic:
             evaluate_accuracy(np.random.default_rng(40), model, S1, empty)
         with pytest.raises(ValueError) as coded:

@@ -28,9 +28,8 @@ S2 = scenario("scenario2")
 
 
 def write_params(path, p):
-    """A scenario file: one ``key = value`` line per set ChannelParams field."""
-    lines = [f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)
-             if getattr(p, f.name) is not None]
+    """A scenario file: one ``key = value`` line per ChannelParams field."""
+    lines = [f"{f.name} = {getattr(p, f.name)!r}\n" for f in fields(p)]
     path.write_text("# molecular link parameters\n" + "".join(lines))
 
 # Frozen scalar evaluations of the capture formula (30-digit arithmetic).
@@ -63,18 +62,22 @@ class TestChannelParams:
         dict(max_molecules=0),
         dict(noise_std=-1.0),
         dict(memory=-1),
-        dict(observe_at_s=0.0),
-        dict(observe_at_s=5.0),          # beyond the slot
     ])
     def test_invariants_rejected(self, bad):
         with pytest.raises(ValueError):
             with_overrides(S1, **bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["distance_um", "radius_um", "velocity_um_s", "slot_s",
+                                      "diffusion_um2_s", "noise_std"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with_overrides(S1, **{name: value})
+
     def test_observation_time_default_is_capped_peak(self):
         assert S1.observation_time() == pytest.approx(S1_PEAK, rel=1e-12)
         slow = with_overrides(S1, slot_s=1.0)
         assert slow.observation_time() == 1.0
-        assert with_overrides(S1, observe_at_s=2.5).observation_time() == 2.5
 
     def test_scenario_lookup(self):
         with pytest.raises(KeyError):
@@ -90,6 +93,10 @@ class TestChannelParams:
         path = tmp_path / "bad.cfg"
         path.write_text("distance_um = 10\nwarp_factor = 9\n")
         with pytest.raises(ValueError, match="warp_factor"):
+            channel.load_params(str(path))
+        # the observation instant follows from the link; it is not a setting
+        path.write_text("distance_um = 10\nobserve_at_s = 1.0\n")
+        with pytest.raises(ValueError, match="observe_at_s"):
             channel.load_params(str(path))
 
     @pytest.mark.parametrize("line", ["max_molecules = 100.5", "memory = 1.7"])
@@ -317,6 +324,18 @@ class TestObserveFrames:
         observe_frames(rec, S1, frames)
         assert rec.drawn == {"binomial": 30, "standard_normal": 60}
 
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_memory_beyond_the_frame_changes_nothing(self, k):
+        # a lag of k slots or more reaches no slot of a k-slot frame, so such a
+        # memory draws what memory k - 1 draws, and no more
+        frames = np.random.default_rng(11).uniform(size=(20, k))
+        rng = np.random.default_rng(12)
+        want = observe_frames(rng, with_overrides(S1, memory=k - 1), frames), rng.random()
+        for memory in (k, k + 1, k + 5):
+            rng = np.random.default_rng(12)
+            got = observe_frames(rng, with_overrides(S1, memory=memory), frames), rng.random()
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
 
 class TestSir:
     def test_zero_symbol_gives_zero(self):
@@ -374,6 +393,11 @@ class TestSirTrace:
             sir_trace(S1, [], dt=0.5)
         with pytest.raises(ValueError, match="outside"):
             sir_trace(S1, [0.0, 0.5, 1.2], dt=0.5)
+
+    def test_memory_beyond_the_frame_changes_nothing(self):
+        w_seq = [1.0, 0.5, 0.0, 1.0, 0.25]
+        want = sir_trace(with_overrides(S1, memory=len(w_seq) - 1), w_seq, dt=0.05)
+        assert np.array_equal(sir_trace(with_overrides(S1, memory=10 ** 6), w_seq, dt=0.05), want)
 
     def test_csv_export(self, tmp_path):
         trace = sir_trace(S1, [0.0, 1.0], dt=1.0)

@@ -5,11 +5,13 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helpers as ref
 from mclink import baseline, channel, cli, surrogate, transceiver
 from mclink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_TOLERANCE, EXIT_USAGE, FLAGS, main
 from mclink.dataset import DATASET_MAGIC, Dataset, load_dataset, save_dataset
@@ -21,6 +23,14 @@ FAST_PHYSICS = ["--particles", "20000", "--times", "1.0,1.2585"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def scenario_file(path, name="scenario1"):
+    """A key = value file holding a built-in scenario's parameters, in its own directory."""
+    path.parent.mkdir(parents=True)
+    path.write_text("".join(f"{key} = {value!r}\n"
+                            for key, value in asdict(channel.scenario(name)).items()))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +109,15 @@ class TestValidatePhysics:
         assert "dt" not in load_manifest(replay / "manifest.json")["params"]
 
 
+    def test_scenario_file_in_a_directory_names_the_output_by_file(self, tmp_path):
+        link = scenario_file(tmp_path / "links" / "link.cfg")
+        for scenario, out in ((link, tmp_path / "file"), ("scenario1", tmp_path / "builtin")):
+            assert run(["validate-physics", "--scenario", scenario, "--seed", 3,
+                        "--out", out, *FAST_PHYSICS]) == EXIT_OK
+        for suffix in (".csv", ".csv.meta.json"):
+            assert (tmp_path / "file" / f"capture_link.cfg{suffix}").read_bytes() == \
+                   (tmp_path / "builtin" / f"capture_scenario1{suffix}").read_bytes()
+
     def test_failing_probes_are_named_distinctly(self, tmp_path, capsys, monkeypatch):
         # a stubbed curve that breaches at two probes 0.0004 s apart; the
         # oracle's own curve passes at these sizes
@@ -144,6 +163,13 @@ class TestSimSir:
             assert run(["sim-sir", "--scenario", "scenario1", "--out", out,
                         "--dt", 0.05]) == EXIT_OK
         assert (a / "sir_scenario1.csv").read_bytes() == (b / "sir_scenario1.csv").read_bytes()
+
+    def test_scenario_file_in_a_directory_names_the_output_by_file(self, tmp_path):
+        link = scenario_file(tmp_path / "links" / "link.cfg", "scenario2")
+        for scenario, out in ((link, tmp_path / "file"), ("scenario2", tmp_path / "builtin")):
+            assert run(["sim-sir", "--scenario", scenario, "--out", out, "--dt", 0.05]) == EXIT_OK
+        assert (tmp_path / "file" / "sir_link.cfg.csv").read_bytes() == \
+               (tmp_path / "builtin" / "sir_scenario2.csv").read_bytes()
 
     def test_no_finite_sample_prints_an_infinite_peak(self, tmp_path, capsys):
         # no noise and no predecessor to interfere: every sample is inf
@@ -363,6 +389,35 @@ class TestExitCodes:
         assert run(["fit-channel", "--scenario", scenario, "--out", out]) == EXIT_USAGE
         assert "whole number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["sim-sir", "fit-channel", "eval"])
+    def test_non_finite_noise_is_usage_error(self, pipeline, tmp_path, capsys, command, value):
+        inputs = {"eval": ["--data", pipeline / "data",
+                           "--model", pipeline / "model" / "semantic.ckpt"]}.get(command, [])
+        out = tmp_path / "out"
+        assert run([command, f"--sigma-n={value}", "--out", out, *inputs]) == EXIT_USAGE
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_non_finite_value_in_params_file_is_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "link.cfg"
+        scenario.write_text(self.OVERDRIVEN.replace("velocity_um_s = 10000", "velocity_um_s = nan"))
+        out = tmp_path / "out"
+        assert run(["sim-sir", "--scenario", scenario, "--out", out]) == EXIT_USAGE
+        assert "velocity_um_s must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "-inf"])
+    def test_non_positive_learning_rate_is_usage_error(self, pipeline, tmp_path, capsys, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lr": float(value)}))
+        for name, source in (("flag", [f"--lr={value}"]), ("config", ["--config", config])):
+            out = tmp_path / name
+            assert run(["train", *source, "--out", out, "--data", pipeline / "data",
+                        "--surrogate", pipeline / "surr" / "surrogate.ckpt"]) == EXIT_USAGE
+            assert "--lr: must be a positive finite number" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
     def test_fractional_budget_in_list_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["sweep", "--data", pipeline / "data", "--n-m-list", "20000,100.5",
@@ -486,7 +541,7 @@ class TestExitCodes:
 
     def test_model_with_fewer_classes_than_the_test_set_is_usage_error(self, pipeline,
                                                                       tmp_path, capsys):
-        model = transceiver.build_semantic_model(np.random.default_rng(0), num_classes=3)
+        model = ref.unstandardized_model(np.random.default_rng(0), num_classes=3)
         model.save(tmp_path / "three.ckpt")
         out = tmp_path / "out"
         assert run(["eval", "--out", out, "--data", pipeline / "data",

@@ -31,7 +31,7 @@ LN4 = 1.3862943611198906
 class TestForward:
     def test_identity_layer_passes_input_through(self):
         net = DenseNet.from_arrays([np.eye(3)], [np.zeros(3)], ["identity"])
-        x = np.array([0.3, -1.2, 4.0])
+        x = np.array([[0.3, -1.2, 4.0]])
         assert np.array_equal(net.forward(x).data, x)
 
     def test_leaky_relu_slope(self):
@@ -51,7 +51,9 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         net = DenseNet([3, 2], ["identity"], rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="width"):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="width"):
+            net.forward(np.zeros(3))        # one row, not a batch
 
     def test_forward_deterministic(self):
         net = DenseNet([4, 8, 2], ["leaky_relu", "softmax"], rng=np.random.default_rng(1))
@@ -375,7 +377,7 @@ class TestFreshGradients:
     def _transceiver_batch():
         # dense, getitem, concat, reshape, the surrogate draw and cross-entropy
         rng = np.random.default_rng(16)
-        model = transceiver.build_semantic_model(rng, image_shape=(8, 8, 1))
+        model = ref.unstandardized_model(rng, image_shape=(8, 8, 1))
         surrogate = ChannelSurrogate(net=build_mdn_net(rng)).freeze()
         images, labels = rng.uniform(size=(12, 64)), rng.integers(0, 4, size=12)
         y = transceiver.transmit_train(rng, model, surrogate, images)

@@ -10,6 +10,8 @@ import helpers as ref
 from helpers import (
     FrozenDraws,
     gradient_check,
+    mixture,
+    mixture_mean,
     mixture_pdf,
     mixture_variance,
     small_mdn_net,
@@ -24,7 +26,7 @@ from mclink.surrogate import (
     HALF_LOG_2PI,
     LOGVAR_MAX,
     LOGVAR_MIN,
-    MixtureParams,
+    SIGMA2_MIN,
     SURROGATE_ROLE,
     build_mdn_net,
     fit_channel,
@@ -109,31 +111,23 @@ def same_bytes(a, b):
 
 class TestMixtureParams:
     def test_standard_normal_density(self):
-        mp = MixtureParams(pi=[0.5, 0.5], mu=[0.0, 0.0], sigma2=[1.0, 1.0])
-        assert mixture_pdf(mp, 0.0) == pytest.approx(INV_SQRT_2PI, rel=1e-12)
+        mp = mixture(pi=[0.5, 0.5], mu=[0.0, 0.0], sigma2=[1.0, 1.0])
+        assert mixture_pdf(mp, 0.0)[0] == pytest.approx(INV_SQRT_2PI, rel=1e-12)
 
     def test_degenerate_weight_selects_single_kernel(self):
-        mp = MixtureParams(pi=[1.0, 0.0], mu=[0.3, 9.9], sigma2=[0.04, 1.0])
-        lone = MixtureParams(pi=[1.0], mu=[0.3], sigma2=[0.04])
+        mp = mixture(pi=[1.0, 0.0], mu=[0.3, 9.9], sigma2=[0.04, 1.0])
+        lone = mixture(pi=[1.0], mu=[0.3], sigma2=[0.04])
         for w in (-0.5, 0.3, 1.1):
-            assert mixture_pdf(mp, w) == pytest.approx(mixture_pdf(lone, w), rel=1e-12)
+            assert mixture_pdf(mp, w)[0] == pytest.approx(mixture_pdf(lone, w)[0], rel=1e-12)
 
     def test_bimodal_value(self):
-        mp = MixtureParams(pi=[0.5, 0.5], mu=[-1.0, 1.0], sigma2=[1.0, 1.0])
-        assert mixture_pdf(mp, 0.0) == pytest.approx(0.24197072451914337, rel=1e-12)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            MixtureParams(pi=[0.6, 0.6], mu=[0, 0], sigma2=[1, 1])
-        with pytest.raises(ValueError, match="non-negative"):
-            MixtureParams(pi=[1.5, -0.5], mu=[0, 0], sigma2=[1, 1])
-        with pytest.raises(ValueError, match="variances"):
-            MixtureParams(pi=[1.0], mu=[0.0], sigma2=[1e-9])
+        mp = mixture(pi=[0.5, 0.5], mu=[-1.0, 1.0], sigma2=[1.0, 1.0])
+        assert mixture_pdf(mp, 0.0)[0] == pytest.approx(0.24197072451914337, rel=1e-12)
 
     def test_mean_and_variance(self):
-        mp = MixtureParams(pi=[0.25, 0.75], mu=[0.0, 2.0], sigma2=[1.0, 4.0])
-        assert mp.mean() == pytest.approx(1.5)
-        assert mixture_variance(mp) == pytest.approx(
+        mp = mixture(pi=[0.25, 0.75], mu=[0.0, 2.0], sigma2=[1.0, 4.0])
+        assert mixture_mean(mp)[0] == pytest.approx(1.5)
+        assert mixture_variance(mp)[0] == pytest.approx(
             0.25 * 1 + 0.75 * 4 + 0.25 * 2.25 + 0.75 * 0.25)
 
     def test_integrates_to_one(self):
@@ -141,16 +135,16 @@ class TestMixtureParams:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             raw = rng.uniform(0.2, 3.0, size=2)
-            mp = MixtureParams(pi=raw / raw.sum(), mu=rng.uniform(-1, 2, 2),
-                               sigma2=rng.uniform(0.01, 2.0, 2))
-            mass = trapezoid(mixture_pdf(mp, grid), grid)
+            mp = mixture(pi=raw / raw.sum(), mu=rng.uniform(-1, 2, 2),
+                         sigma2=rng.uniform(0.01, 2.0, 2))
+            mass = trapezoid(mixture_pdf(mp, grid)[:, 0], grid)
             assert abs(mass - 1.0) < 1e-3
 
 
 class TestMdnForward:
     def test_zero_final_layer_gives_unit_mixture(self):
         net = zeroed_final_layer(build_mdn_net(np.random.default_rng(0)))
-        mp = mdn_forward(net, np.array([0.3, 0.7]))
+        mp = mdn_forward(net, np.array([[0.3, 0.7]]))
         assert np.allclose(mp.pi, [0.5, 0.5])
         assert np.allclose(mp.mu, [0.0, 0.0])
         assert np.allclose(mp.sigma2, [1.0, 1.0])
@@ -159,7 +153,7 @@ class TestMdnForward:
         net = build_mdn_net(np.random.default_rng(1))
         rng = np.random.default_rng(2)
         for _ in range(20):
-            mp = mdn_forward(net, rng.uniform(size=2))
+            mp = mdn_forward(net, rng.uniform(size=(1, 2)))
             assert abs(mp.pi.sum() - 1.0) < 1e-6
 
     def test_batched_contexts(self):
@@ -167,15 +161,16 @@ class TestMdnForward:
         ctx = np.random.default_rng(3).uniform(size=(8, 2))
         mp = mdn_forward(net, ctx)
         assert mp.pi.shape == (8, 2)
-        single = mdn_forward(net, ctx[4])
-        assert np.allclose(mp.mu[4], single.mu)
+        single = mdn_forward(net, ctx[4:5])
+        assert np.allclose(mp.mu[4], single.mu[0])
 
     def test_variance_clamped_into_bounds(self):
         net = zeroed_final_layer(build_mdn_net(np.random.default_rng(0)))
         net.biases[-1].data[4:6] = [-50.0, 50.0]   # extreme log-variances
-        mp = mdn_forward(net, np.array([0.5, 0.5]))
-        assert mp.sigma2[0] == pytest.approx(1e-6)
-        assert mp.sigma2[1] == pytest.approx(1e2)
+        mp = mdn_forward(net, np.array([[0.5, 0.5]]))
+        assert mp.sigma2[0, 0] == pytest.approx(1e-6)
+        assert mp.sigma2[0, 0] >= SIGMA2_MIN     # exp rounds the clamped floor up, not below
+        assert mp.sigma2[0, 1] == pytest.approx(1e2)
 
 
 class TestMdnNll:
@@ -193,7 +188,7 @@ class TestMdnNll:
     def test_matches_mixture_pdf_route(self):
         net = build_mdn_net(np.random.default_rng(4))
         nll = float(mdn_nll(net, (np.array([[0.2, 0.9]]), np.array([0.7]))).data)
-        dens = mixture_pdf(mdn_forward(net, np.array([0.2, 0.9])), 0.7)
+        dens = mixture_pdf(mdn_forward(net, np.array([[0.2, 0.9]])), 0.7)[0]
         assert nll == pytest.approx(-math.log(dens), rel=1e-9)
 
     def test_duplicating_batch_leaves_mean_nll_unchanged(self):
@@ -310,11 +305,11 @@ class TestSampleSurrogate:
         assert np.abs(draws - 0.42).max() < 5e-3
 
     def test_empirical_mean_matches_mixture_mean(self):
-        mp = MixtureParams(pi=[0.3, 0.7], mu=[0.0, 1.0], sigma2=[0.04, 0.09])
-        row = np.concatenate([np.log(mp.pi), mp.mu, np.log(mp.sigma2)])
+        mp = mixture(pi=[0.3, 0.7], mu=[0.0, 1.0], sigma2=[0.04, 0.09])
+        row = np.concatenate([np.log(mp.pi), mp.mu, np.log(mp.sigma2)], axis=1)
         draws = sample_surrogate(np.random.default_rng(1), Tensor(np.tile(row, (100_000, 1)))).data
-        se = math.sqrt(mixture_variance(mp) / 100_000)
-        assert abs(draws.mean() - mp.mean()) < 3 * se
+        se = math.sqrt(mixture_variance(mp)[0] / 100_000)
+        assert abs(draws.mean() - mixture_mean(mp)[0]) < 3 * se
 
     def test_reparameterized_gradient_through_mean(self):
         raw = Tensor(np.array([[0.0, -800.0, 0.5, 2.0, math.log(0.25), math.log(0.25)]]),
@@ -475,25 +470,25 @@ class TestFitChannel:
         surr, _, _ = fitted_surrogate
         # (1,1) is the thin corner of the uniform context draw, hence the
         # wider band than the dense mid-range contexts get
-        assert mdn_forward(surr.net, (1.0, 1.0)).mean() == pytest.approx(
+        assert mixture_mean(mdn_forward(surr.net, np.array([[1.0, 1.0]])))[0] == pytest.approx(
             MEAN_AT_FULL_CONTEXT, abs=0.07)
 
     def test_trained_variance_within_factor_two_of_simulator(self, fitted_surrogate):
         surr, _, _ = fitted_surrogate
         for w_curr in (0.5, 0.75, 1.0):
             for w_prev in (0.25, 0.75):
-                mp = mdn_forward(surr.net, (w_curr, w_prev))
+                mp = mdn_forward(surr.net, np.array([[w_curr, w_prev]]))
                 _, sim_var = normalized_slot_moments(S1, w_curr, [w_prev])
-                assert mixture_variance(mp) > 0.0
-                assert 0.5 < mixture_variance(mp) / sim_var < 2.0
+                assert mixture_variance(mp)[0] > 0.0
+                assert 0.5 < mixture_variance(mp)[0] / sim_var < 2.0
 
     def test_trained_mixture_normalizes_over_line(self, fitted_surrogate):
         surr, _, _ = fitted_surrogate
         grid = np.linspace(-10.0, 10.0, 20001)
         for w_curr in (0.0, 0.25, 0.5, 0.75, 1.0):
             for w_prev in (0.0, 0.5, 1.0):
-                mp = mdn_forward(surr.net, (w_curr, w_prev))
-                mass = trapezoid(mixture_pdf(mp, grid), grid)
+                mp = mdn_forward(surr.net, np.array([[w_curr, w_prev]]))
+                mass = trapezoid(mixture_pdf(mp, grid)[:, 0], grid)
                 assert abs(mass - 1.0) < 1e-3
 
     def test_non_finite_loss_raises_with_history(self):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import FrozenDraws, gradient_check, small_mdn_net
+from helpers import FrozenDraws, gradient_check, small_mdn_net, unstandardized_model
 from mclink import nn, transceiver
 from mclink.channel import observe_frames, scenario, with_overrides
 from mclink.dataset import make_dataset, one_hot
@@ -65,7 +65,7 @@ class IdentitySurrogate:
 
 @pytest.fixture(scope="module")
 def small_model():
-    return build_semantic_model(np.random.default_rng(0))
+    return unstandardized_model(np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
@@ -79,19 +79,19 @@ def frozen_surrogate():
 class TestEncode:
     def test_outputs_are_valid_release_fractions(self, small_model):
         rng = np.random.default_rng(2)
-        w = encode_batch(small_model, rng.uniform(size=256)).data
+        w = encode_batch(small_model, rng.uniform(size=(1, 256))).data
         assert w.shape == (1, 16)
         assert np.all((w > 0.0) & (w < 1.0))
 
     def test_zeroed_quantizer_head_gives_half(self, small_model):
-        model = build_semantic_model(np.random.default_rng(3))
+        model = unstandardized_model(np.random.default_rng(3))
         model.quantizer.weights[-1].data[:] = 0.0
         model.quantizer.biases[-1].data[:] = 0.0
-        w = encode_batch(model, np.random.default_rng(4).uniform(size=256)).data
+        w = encode_batch(model, np.random.default_rng(4).uniform(size=(1, 256))).data
         assert np.allclose(w, 0.5)
 
     def test_deterministic(self, small_model):
-        x = np.random.default_rng(5).uniform(size=256)
+        x = np.random.default_rng(5).uniform(size=(1, 256))
         assert np.array_equal(encode_batch(small_model, x).data,
                               encode_batch(small_model, x).data)
 
@@ -458,7 +458,7 @@ class TestWilson:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, small_model):
         mean, std = standardization_stats(np.random.default_rng(23).uniform(size=(30, 256)))
-        model = build_semantic_model(np.random.default_rng(24),
+        model = build_semantic_model(np.random.default_rng(24), (16, 16, 1), 4,
                                      input_mean=mean, input_std=std)
         path = tmp_path / "semantic.ckpt"
         model.save(path)
@@ -469,7 +469,7 @@ class TestCheckpoint:
             assert np.array_equal(a.data, b.data)
 
     def test_widths_come_from_the_nets(self):
-        model = build_semantic_model(np.random.default_rng(25), num_classes=3)
+        model = unstandardized_model(np.random.default_rng(25), num_classes=3)
         assert (model.symbols, model.num_classes) == (transceiver.SYMBOLS, 3)
         assert model.encoder.dims[-1] == model.quantizer.dims[-1] == transceiver.SYMBOLS
         model.decoder = DenseNet([transceiver.SYMBOLS, 5], ["softmax"], np.random.default_rng(26))
