@@ -12,21 +12,25 @@ composed forms as the reference):
   backward takes the activation's derivative from the layer output and
   forms only the gradients some tensor requires;
 * ``cross_entropy``: floor, log, one-hot pick, row sum and batch mean;
-* in ``surrogate``, the mixture head's NLL (``mdn_nll``) and its
-  reparameterized draw (``sample_surrogate``), each one node on the raw
-  net output.
+* in ``surrogate``, the mixture head's NLL (``mdn_nll``), and the frozen
+  channel net with its reparameterized draw as one node on the contexts.
 
 Slicing, ``reshape`` and ``concat`` join those nodes into a graph. Every
 network trains through one loop, ``train``: SGD with momentum, early
-stopping, best-weight restore. Training is single-threaded by contract so
-runs are reproducible bit for bit for a fixed seed.
+stopping, best-weight restore. Work that splits into independent parts
+runs through ``run_concurrently``, on the calling thread and the process's
+one worker pool. Each caller fixes its parts and combines their results
+in a fixed order, so a fixed seed gives the same bytes at any CPU count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -223,6 +227,12 @@ def apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
     return _ACTIVATION_FORMS[tag][0](z)
 
 
+def activation_grad(g: np.ndarray, y: np.ndarray, tag: str) -> np.ndarray:
+    """The gradient at the pre-activation from upstream ``g`` and the output
+    ``y`` of activation ``tag``: the first backward step of ``dense``."""
+    return _ACTIVATION_FORMS[tag][1](g, y)
+
+
 def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
     """One layer, ``activation(h @ w + b)``, as a single graph node.
 
@@ -235,10 +245,9 @@ def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
     z = h.data @ w.data
     z += b.data
     y = apply_activation(z, tag)
-    activation_grad = _ACTIVATION_FORMS[tag][1]
 
     def backward_fn(g):
-        dz = activation_grad(g, y)
+        dz = activation_grad(g, y, tag)
         if b.requires_grad:
             b._accumulate(dz.sum(axis=0), fresh=True)
         if h.requires_grad:
@@ -382,6 +391,55 @@ class SGD:
             v += p.grad
             p.data -= self.lr * v
             p.zero_grad()
+
+
+# ----------------------------------------------------------------------
+# One worker pool for the process, shared by every caller.
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()      # ``worker`` is set on the pool's own threads
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process's worker pool, built on first use with one thread per
+    usable CPU but the caller's; it lives as long as the process."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, usable_cpus() - 1), thread_name_prefix="mclink",
+                                       initializer=setattr, initargs=(_pool_thread, "worker", True))
+        return _pool
+
+
+def run_concurrently(tasks: list[Callable[[], object]]) -> list:
+    """Run the zero-argument ``tasks`` and return their results in task order.
+
+    With two or more usable CPUs the calling thread runs the first task and
+    the shared worker pool the rest. With one CPU or one task, and on a
+    pool thread (which must not wait on its own pool), the calling thread
+    runs them all, in order. The tasks must only read what they share and
+    write disjoint outputs; numpy's ufuncs, draws and BLAS release the
+    interpreter lock, so the threads overlap. Every task has finished when
+    this returns or raises, and the first exception, the calling thread's
+    own before the pool's, reaches the caller.
+    """
+    if len(tasks) < 2 or usable_cpus() < 2 or getattr(_pool_thread, "worker", False):
+        return [task() for task in tasks]
+    futures = [_shared_pool().submit(task) for task in tasks[1:]]
+    try:
+        first = tasks[0]()
+    finally:
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,16 @@ It is fitted by negative log-likelihood on pairs drawn from the real slot
 sampler, then frozen. Afterwards it serves as the differentiable channel
 for end-to-end transceiver training: a reparameterized draw
 mu_i + sqrt(sigma2_i) * eps carries gradients through mu and sigma2 while
-the component choice is held constant.
+the component choice is held constant. The frozen net and its draw are one
+graph node on the contexts, which runs its two fixed row blocks on both
+cores where there are two and gives the same bytes on one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -110,10 +113,8 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
     (rows, 3h) gradient.
     """
     contexts, targets = pairs
-    if len(np.atleast_1d(targets)) == 0:
+    if len(targets) == 0:
         raise ValueError("empty batch")
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
     if targets.shape != (len(contexts),):
         raise ValueError(f"{len(contexts)} contexts but targets of shape {targets.shape}")
     raw = net.forward(Tensor(contexts))
@@ -147,37 +148,78 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
     return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
 
-def sample_surrogate(rng: np.random.Generator, raw: Tensor) -> Tensor:
-    """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
+def _row_blocks(n: int) -> list[slice]:
+    """The frozen draw's two fixed row blocks, the empty one dropped. A
+    batch of under four rows is one block: a one-row block would take
+    numpy's vector product, whose sums may round otherwise than the matrix
+    product the whole batch takes."""
+    cut = (n + 1) // 2 if n >= 4 else n
+    return [rows for rows in (slice(0, cut), slice(cut, n)) if rows.stop > rows.start]
 
-    ``raw`` holds (rows, 3h) outputs, split as :func:`mdn_forward` splits
-    them, so h is a third of its width. The component index is drawn from
-    pi (``rng.random``, then ``rng.standard_normal`` for eps) and treated
-    as a constant; gradients flow through the selected mean and variance
-    only. One graph node, bit-identical to the softmax, clip, exp, row
-    pick, sqrt and affine draw composed.
+
+def _frozen_draw(net: DenseNet, ctx: Tensor, rng: np.random.Generator) -> Tensor:
+    """Reparameterized draw from the frozen net's mixtures, one sample per
+    context row, as one graph node on ``ctx``.
+
+    ``rng.random(n)`` picks each row's component from pi, treated as a
+    constant, then ``rng.standard_normal(n)`` gives its eps; the draw is
+    mu + sqrt(sigma2) * eps of that component, so gradients reach ``ctx``
+    through its mean and variance. The net runs ``dense``'s arithmetic
+    layer by layer on two fixed row blocks, the second on the shared worker
+    pool (:func:`nn.run_concurrently`); backward runs each block down to
+    the first layer's activation, and that layer's input product once on
+    all rows, since its sums round by the row count. So the values are
+    bit-identical to ``DenseNet.forward`` then the softmax, clip, exp, row
+    pick, sqrt and affine draw composed, at any CPU count.
     """
-    x = raw.data
-    n, h = x.shape[0], x.shape[1] // 3
+    x = ctx.data
+    n, h = len(x), net.dims[-1] // 3
     u = rng.random(n)
-    pi = nn.apply_activation(x[:, 0:h], "softmax")
-    idx = (u[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
-    idx = np.minimum(idx, h - 1)
     eps = rng.standard_normal(n)
-    rows = np.arange(n)
-    logvar_raw = x[rows, 2 * h + idx]
-    s2 = np.exp(np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX))
-    sd = np.sqrt(s2)
-    out = x[rows, h + idx] + sd * eps
+    layers = list(zip(net.weights, net.biases, net.activations))
+    blocks = _row_blocks(n)
+    out = np.empty(n)
+    saved = [None] * len(blocks)        # per block: layer outputs, component, draw terms
+
+    def forward(i, rows):
+        y = x[rows]
+        outputs = []
+        for w, b, tag in layers:
+            y = y @ w.data
+            y += b.data
+            y = nn.apply_activation(y, tag)
+            outputs.append(y)
+        pi = nn.apply_activation(y[:, 0:h], "softmax")
+        idx = (u[rows, None] > np.cumsum(pi, axis=1)).sum(axis=1)
+        idx = np.minimum(idx, h - 1)
+        picked = np.arange(len(y))
+        logvar_raw = y[picked, 2 * h + idx]
+        s2 = np.exp(np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX))
+        sd = np.sqrt(s2)
+        out[rows] = y[picked, h + idx] + sd * eps[rows]
+        saved[i] = outputs, idx, logvar_raw, s2, sd
+
+    nn.run_concurrently([partial(forward, i, rows) for i, rows in enumerate(blocks)])
+
+    def backward(g, first_grads, i, rows):
+        outputs, idx, logvar_raw, s2, sd = saved[i]
+        picked = np.arange(len(idx))
+        g = g[rows]
+        # += on zeros, as the composed scatter-adds, so signed zeros match
+        grad = np.zeros_like(outputs[-1])
+        grad[picked, h + idx] += g
+        grad[picked, 2 * h + idx] += g * eps[rows] * 0.5 / sd * s2 * _unclipped(logvar_raw)
+        for (w, _, tag), y in zip(layers[:0:-1], outputs[:0:-1]):     # last layer to second
+            grad = nn.activation_grad(grad, y, tag) @ w.data.T
+        first_grads[rows] = nn.activation_grad(grad, outputs[0], layers[0][2])
 
     def backward_fn(g):
-        # += on zeros, as the composed scatter-adds, so signed zeros match
-        grad = np.zeros_like(x)
-        grad[rows, h + idx] += g
-        grad[rows, 2 * h + idx] += g * eps * 0.5 / sd * s2 * _unclipped(logvar_raw)
-        raw._accumulate(grad, fresh=True)
+        first_grads = np.empty((n, net.dims[1]))
+        nn.run_concurrently([partial(backward, g, first_grads, i, rows)
+                             for i, rows in enumerate(blocks)])
+        ctx._accumulate(first_grads @ net.weights[0].data.T, fresh=True)
 
-    return Tensor(out, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
+    return Tensor(out, requires_grad=ctx.requires_grad, parents=(ctx,), backward_fn=backward_fn)
 
 
 @dataclass
@@ -202,8 +244,13 @@ class ChannelSurrogate:
         return self
 
     def sample_tensor(self, ctx: Tensor, rng: np.random.Generator) -> Tensor:
-        """Per-row received-symbol draw with a gradient path into ``ctx``."""
-        return sample_surrogate(rng, self.net.forward(ctx))
+        """Per-row received-symbol draw for (n, 2) contexts with a gradient
+        path into ``ctx``; the surrogate must be frozen."""
+        if not self.frozen:
+            raise ValueError("channel surrogate must be frozen before it is sampled")
+        if ctx.data.ndim != 2 or ctx.data.shape[1] != self.net.dims[0]:
+            raise ValueError(f"contexts of shape {ctx.data.shape}; expected (n, {self.net.dims[0]})")
+        return _frozen_draw(self.net, ctx, rng)
 
     def save(self, path) -> None:
         # h stays in the header for its readers; load takes it from the net

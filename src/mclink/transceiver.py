@@ -10,20 +10,21 @@ Training runs the symbols through the frozen channel surrogate so that the
 cross-entropy gradient reaches the encoder and quantizer; evaluation runs
 them through the real slot sampler instead. The transmitter draws no
 randomness, so an evaluation runs it once; each noise trial then draws only
-the channel and runs only the receiver, on its own generator. The trials run
-concurrently, one share per usable CPU, and give the same bytes as one after
-another. Consecutive symbols of a frame
-occupy consecutive slots, so each symbol's channel context is (itself, its
-predecessor), with a silent slot before the frame.
+the channel and runs only the receiver, on its own generator. The trials
+run concurrently, one share per usable CPU, through
+:func:`mclink.nn.run_concurrently`, whose worker pool also runs half of
+the surrogate's draw in training; both give the same bytes on one CPU.
+Consecutive symbols of a frame occupy consecutive slots, so each symbol's
+channel context is (itself, its predecessor), with a silent slot before the
+frame.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -150,11 +151,10 @@ def transmit_train(
 ) -> Tensor:
     """Class probabilities with the full gradient path through the surrogate.
 
-    The surrogate must be frozen; its parameters receive no gradient but
-    the sampled symbols stay differentiable w.r.t. the transmit side.
+    The surrogate must be frozen (its ``sample_tensor`` checks); its
+    parameters receive no gradient but the sampled symbols stay
+    differentiable w.r.t. the transmit side.
     """
-    if not surrogate.frozen:
-        raise ValueError("channel surrogate must be frozen before joint training")
     w = encode_batch(model, images)
     b, k = w.data.shape
     ctx = _frame_contexts(w)
@@ -237,14 +237,6 @@ def train_end_to_end(
     return model, history
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def trial_accuracy(
     rng: np.random.Generator,
     test_set: Dataset,
@@ -259,13 +251,13 @@ def trial_accuracy(
     the transmit side once, before the trials. The pooled correct count
     gives a 95% binomial (Wilson) interval.
 
-    The trials run concurrently in ``min(n_trials, usable_cpus())`` shares:
-    the calling thread runs one and a thread pool the rest (one trial or one
-    CPU starts no thread). ``predict`` must therefore only read what it
-    shares with other trials; numpy's draws, ufuncs and BLAS release the
-    interpreter lock. Each trial's generator comes from a seed drawn up
-    front and the counts are integers, so the result does not depend on how
-    many trials run at once. An exception in any trial reaches the caller.
+    The trials run concurrently in ``min(n_trials, nn.usable_cpus())``
+    shares through :func:`nn.run_concurrently`: the calling thread runs one
+    and the shared worker pool the rest (one trial or one CPU starts no
+    thread). ``predict`` must therefore only read what it shares with other
+    trials. Each trial's generator comes from a seed drawn up front and the
+    counts are integers, so the result does not depend on how many trials
+    run at once. An exception in any trial reaches the caller.
     """
     if len(test_set) == 0:
         raise ValueError("test set is empty")
@@ -277,14 +269,12 @@ def trial_accuracy(
         return sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
                    for seed in seeds)
 
-    workers = min(n_trials, usable_cpus())
-    if workers == 1:
+    workers = min(n_trials, nn.usable_cpus())
+    if workers == 1:    # no split: its cost shows on short one-trial calls
         correct = count(trial_seeds)
     else:
         shares = np.array_split(trial_seeds, workers)
-        with ThreadPoolExecutor(workers - 1) as pool:
-            others = [pool.submit(count, share) for share in shares[1:]]
-            correct = count(shares[0]) + sum(f.result() for f in others)
+        correct = sum(nn.run_concurrently([partial(count, share) for share in shares]))
     total = n_trials * len(test_set)
     lo, hi = wilson_interval(correct, total)
     return correct / total, lo, hi

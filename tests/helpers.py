@@ -1,12 +1,13 @@
 """Reference implementations and stand-ins shared by the tests.
 
 The package trains through fused graph nodes (``nn.dense``,
-``nn.cross_entropy``, ``surrogate.mdn_nll``, ``surrogate.sample_surrogate``)
-and builds its dataset with a table kernel. Each is bit-identical to a
-composition of simpler steps, and those compositions live here as the
-references the tests compare against: the elementwise autodiff ops with
-their finite-difference checker, the mixture density and mean, the OOK
-detector's count threshold, and the per-image dataset loop. ``sub`` and
+``nn.cross_entropy``, ``surrogate.mdn_nll``, and the frozen surrogate's
+draw behind ``ChannelSurrogate.sample_tensor``) and builds its dataset with
+a table kernel. Each is bit-identical to a composition of simpler steps,
+and those compositions live here as the references the tests compare
+against: the elementwise autodiff ops with their finite-difference
+checker, the mixture density and mean, the draw on raw net outputs, the
+OOK detector's count threshold, and the per-image dataset loop. ``sub`` and
 ``neg`` spell the ``a - b`` and ``-a`` of the composed graphs as the same
 ops, in the same order. Beside them sit stand-ins: an unstandardized
 semantic model and a generator that replays frozen draws.
@@ -31,9 +32,17 @@ from mclink.nn import (
     _softmax,
     _softmax_grad,
     _unary,
+    apply_activation,
     as_tensor,
 )
-from mclink.surrogate import COMPONENTS, MDN_LAYERS, MixtureParams
+from mclink.surrogate import (
+    COMPONENTS,
+    LOGVAR_MAX,
+    LOGVAR_MIN,
+    MDN_LAYERS,
+    MixtureParams,
+    _unclipped,
+)
 from mclink.transceiver import SemanticModel, build_semantic_model
 
 
@@ -243,6 +252,40 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float((np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum())
 
 
+def sample_surrogate(rng: np.random.Generator, raw: Tensor) -> Tensor:
+    """Reparameterized draw from the mixtures of raw net outputs, one sample per row.
+
+    ``raw`` holds (rows, 3h) outputs, split as ``mdn_forward`` splits them,
+    so h is a third of its width. The component index is drawn from pi
+    (``rng.random``, then ``rng.standard_normal`` for eps) and treated as a
+    constant; gradients flow through the selected mean and variance only.
+    One graph node, bit-identical to the softmax, clip, exp, row pick, sqrt
+    and affine draw composed. ``sample_surrogate(rng, net.forward(ctx))`` is
+    the composed reference of ``ChannelSurrogate.sample_tensor``.
+    """
+    x = raw.data
+    n, h = x.shape[0], x.shape[1] // 3
+    u = rng.random(n)
+    pi = apply_activation(x[:, 0:h], "softmax")
+    idx = (u[:, None] > np.cumsum(pi, axis=1)).sum(axis=1)
+    idx = np.minimum(idx, h - 1)
+    eps = rng.standard_normal(n)
+    rows = np.arange(n)
+    logvar_raw = x[rows, 2 * h + idx]
+    s2 = np.exp(np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX))
+    sd = np.sqrt(s2)
+    out = x[rows, h + idx] + sd * eps
+
+    def backward_fn(g):
+        # += on zeros, as the composed scatter-adds, so signed zeros match
+        grad = np.zeros_like(x)
+        grad[rows, h + idx] += g
+        grad[rows, 2 * h + idx] += g * eps * 0.5 / sd * s2 * _unclipped(logvar_raw)
+        raw._accumulate(grad, fresh=True)
+
+    return Tensor(out, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
+
+
 def small_mdn_net(rng: np.random.Generator, hidden: int) -> DenseNet:
     """The mixture net's layer stack with ``hidden`` units per hidden layer,
     for checks that visit every parameter."""
@@ -277,7 +320,7 @@ def unstandardized_model(rng: np.random.Generator, image_shape=(16, 16, 1),
 class FrozenDraws:
     """Generator stand-in that replays one reparameterized draw.
 
-    ``sample_surrogate`` draws ``random(n)`` to pick each row's component and
+    The surrogate's draw takes ``random(n)`` to pick each row's component and
     ``standard_normal(n)`` for its noise. ``random`` returns each row's
     component as a float: with two components, u = 0.0 exceeds no
     cumulative weight and u = 1.0 exceeds only the first (unless that

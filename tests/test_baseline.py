@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import helpers as ref
-from mclink import baseline, transceiver
+from mclink import baseline, nn
 from mclink.baseline import (
     CodecConfig,
     baseline_evaluate,
@@ -431,7 +431,7 @@ class TestPipeline:
         _, test = toy_sets
         cfg = CodecConfig()
         coded = channel_encode(source_encode(test.images))
-        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         for name in ("scenario1", "scenario2"):
             p = with_overrides(scenario(name), max_molecules=NOISY_BUDGET)
             got = baseline_evaluate(np.random.default_rng(41), cfg, p, test, classifier,

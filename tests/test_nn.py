@@ -4,7 +4,10 @@ import gc
 import itertools
 import json
 import math
+import os
 import struct
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -722,3 +725,76 @@ class TestDenseNetConstruction:
         assert net.weights[0].data[0, 0] == 1.0
         assert net.dims == [3, 2, 2] and net.activations == ["leaky_relu", "softmax"]
         assert all(t.requires_grad for t in net.parameters())
+
+
+class TestRunConcurrently:
+    """The one worker pool: the caller runs the first task, the pool the rest."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_results_in_task_order(self, monkeypatch, cpus):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        tasks = [lambda i=i: i * i for i in range(5)]
+        assert nn.run_concurrently(tasks) == [0, 1, 4, 9, 16]
+        assert nn.run_concurrently([]) == []
+
+    @pytest.mark.parametrize("cpus, n_tasks", [(1, 3), (4, 1)])
+    def test_one_cpu_or_one_task_starts_no_thread(self, monkeypatch, cpus, n_tasks):
+        def no_pool():
+            raise AssertionError("the worker pool was used")
+
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "_shared_pool", no_pool)
+        ran_on = nn.run_concurrently([threading.get_ident] * n_tasks)
+        assert ran_on == [threading.get_ident()] * n_tasks
+
+    def test_tasks_after_the_first_run_on_the_pool(self, monkeypatch):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+        ran_on = nn.run_concurrently([threading.get_ident] * 3)
+        assert ran_on[0] == threading.get_ident()
+        assert threading.get_ident() not in ran_on[1:]
+
+    # task ``bad`` of 3 fails: on the calling thread or on a pool thread; the
+    # others sleep first, so an early return would leave them running
+    @pytest.mark.parametrize("cpus, bad", [(1, 1), (2, 0), (2, 2)])
+    def test_error_on_either_side_reaches_the_caller_after_every_task(self, monkeypatch,
+                                                                      cpus, bad):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        finished = []
+
+        def task(i):
+            if i == bad:
+                raise FloatingPointError(f"task {i} failed")
+            time.sleep(0.05)
+            finished.append(i)
+
+        with pytest.raises(FloatingPointError, match=f"task {bad} failed"):
+            nn.run_concurrently([lambda i=i: task(i) for i in range(3)])
+        # one CPU runs the tasks in order, so those after the failure never start
+        assert sorted(finished) == [i for i in range(3) if i != bad and (cpus > 1 or i < bad)]
+
+    def test_call_from_a_pool_thread_runs_inline(self, monkeypatch):
+        # with one pool thread, a nested call that waited on the pool would
+        # wait for itself
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+        seen = {}
+
+        def nested():
+            seen["outer"] = threading.get_ident()
+            seen["inner"] = nn.run_concurrently([threading.get_ident] * 3)
+
+        caller = threading.Thread(target=lambda: nn.run_concurrently([lambda: None, nested]),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert seen["outer"] != caller.ident
+        assert seen["inner"] == [seen["outer"]] * 3
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert nn.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert nn.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert nn.usable_cpus() == 1

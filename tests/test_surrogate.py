@@ -1,6 +1,10 @@
 """Mixture-density channel network: pdf, heads, NLL, sampling, fitting."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +18,7 @@ from helpers import (
     mixture_mean,
     mixture_pdf,
     mixture_variance,
+    sample_surrogate,
     small_mdn_net,
     trapezoid,
 )
@@ -33,7 +38,6 @@ from mclink.surrogate import (
     generate_pairs,
     mdn_forward,
     mdn_nll,
-    sample_surrogate,
     single_gaussian_nll,
     write_pairs_csv,
 )
@@ -399,6 +403,85 @@ class TestFusedHeads:
         ref.tsum(ref.mul(got, got)).backward()
         ref.tsum(ref.mul(want, want)).backward()
         assert same_bytes(got_ctx.grad, want_ctx.grad)
+
+
+class TestFrozenDraw:
+    """``sample_tensor`` is one node for the frozen net and its draw, run on
+    two fixed row blocks; draws and context gradients are bit-identical to
+    ``DenseNet.forward`` then the draw on its raw output, at any CPU count."""
+
+    @staticmethod
+    def _surrogate():
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(60))).freeze()
+        surr.net.biases[-1].data[4] = -16.0         # the log-variance clamp stops some rows
+        return surr
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 17, 48, 1024, 1920])
+    def test_matches_the_composed_reference(self, monkeypatch, cpus, rows):
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        surr = self._surrogate()
+        rng = np.random.default_rng(rows)
+        ctx = rng.uniform(size=(rows, 2))
+        weights = rng.normal(size=rows)
+        weights[::4], weights[1::4] = 0.0, -0.0         # zero upstream gradients of both signs
+        got_ctx, want_ctx = Tensor(ctx, requires_grad=True), Tensor(ctx, requires_grad=True)
+        got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)         # interleave the two blocks' threads finely
+        try:
+            got = surr.sample_tensor(got_ctx, got_rng)
+            ref.tsum(ref.mul(got, Tensor(weights))).backward()
+        finally:
+            sys.setswitchinterval(switch)
+        want = sample_surrogate(want_rng, surr.net.forward(want_ctx))
+        ref.tsum(ref.mul(want, Tensor(weights))).backward()
+        assert got._parents == (got_ctx,)               # one node on the contexts
+        assert same_bytes(got.data, want.data)
+        assert got_rng.random() == want_rng.random()    # the same draws were spent
+        assert same_bytes(got_ctx.grad, want_ctx.grad)
+        assert all(t.grad is None for t in surr.net.parameters())
+
+    def test_second_block_runs_on_a_worker_with_two_cpus(self, monkeypatch):
+        ran_on = []
+        real = nn.apply_activation
+
+        def spy(z, tag):
+            ran_on.append(threading.get_ident())
+            return real(z, tag)
+
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "apply_activation", spy)
+        self._surrogate().sample_tensor(Tensor(np.full((64, 2), 0.5)), np.random.default_rng(62))
+        caller = threading.get_ident()
+        # five layers and the softmax per block, one block on each thread
+        assert ran_on.count(caller) == 6 and len(ran_on) == 12
+
+    def test_holds_no_reference_to_its_output(self):
+        # a node that did would make every batch's graph a reference cycle,
+        # freed only by the cyclic collector
+        surr = self._surrogate()
+        ctx = Tensor(np.random.default_rng(63).uniform(size=(32, 2)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            out = surr.sample_tensor(ctx, np.random.default_rng(64))
+            probe = weakref.ref(out)
+            ref.tsum(out).backward()
+            del out
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert ctx.grad is not None
+
+    def test_checks_frozen_net_and_context_width(self):
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(65)))
+        with pytest.raises(ValueError, match="frozen"):
+            surr.sample_tensor(Tensor(np.zeros((4, 2))), np.random.default_rng(0))
+        surr.freeze()
+        for shape in ((4, 3), (4,)):
+            with pytest.raises(ValueError, match="contexts"):
+                surr.sample_tensor(Tensor(np.zeros(shape)), np.random.default_rng(0))
 
 
 class TestChannelSurrogate:

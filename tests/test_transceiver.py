@@ -1,6 +1,5 @@
 """Semantic pipeline: encoding, surrogate transit, training, evaluation."""
 
-import os
 import sys
 import threading
 from dataclasses import replace
@@ -208,6 +207,19 @@ class TestTraining:
         assert hist_a == hist_b
         assert hist_a["train_loss"][10] < hist_a["train_loss"][0]
 
+    def test_same_bytes_at_any_cpu_count(self, monkeypatch, frozen_surrogate):
+        # the surrogate's draw runs its second row block on a worker thread
+        # from two CPUs on; its blocks are fixed, so the bytes are too
+        train = make_dataset(np.random.default_rng(13), 200)
+        cfg = replace(TRAIN_CONFIG, epochs=3, batch_size=48)
+        runs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+            model, hist = train_end_to_end(np.random.default_rng(14), train,
+                                           frozen_surrogate, cfg)
+            runs.append(([p.data.tobytes() for p in model.parameters()], hist))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_surrogate_untouched_by_training(self, frozen_surrogate):
         before = [t.data.copy() for t in frozen_surrogate.net.parameters()]
         train = make_dataset(np.random.default_rng(15), 160)
@@ -363,7 +375,7 @@ class TestConcurrentTrials:
     @pytest.mark.parametrize("n_trials", [1, 2, 3, 15])
     def test_same_tuple_at_any_cpu_count(self, monkeypatch, cpus, n_trials):
         model, test = self._noisy_setup()
-        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)         # interleave the trial threads finely
         try:
@@ -378,39 +390,54 @@ class TestConcurrentTrials:
         finally:
             sys.setswitchinterval(switch)
 
+    @staticmethod
+    def _threads_of_trials(monkeypatch, cpus, n_trials, seed):
+        """Evaluate with ``cpus`` usable CPUs; returns the calling thread's id,
+        the number of shares handed to the worker helper and the thread id of
+        each trial's prediction."""
+        model, test = TestConcurrentTrials._noisy_setup()
+        made, ran_on = [], []
+        real_run = nn.run_concurrently
+        real_predict = transceiver.transmit_eval
+
+        def spy(tasks):
+            made.append(len(tasks))
+            return real_run(tasks)
+
+        def predict(*args):
+            ran_on.append(threading.get_ident())
+            return real_predict(*args)
+
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "run_concurrently", spy)
+        monkeypatch.setattr(transceiver, "transmit_eval", predict)
+        evaluate_accuracy(np.random.default_rng(seed), model, S1, test, n_trials=n_trials)
+        return threading.get_ident(), made, ran_on
+
     @pytest.mark.parametrize("cpus, n_trials, pool_threads", [(2, 2, 1), (2, 15, 1),
                                                               (4, 3, 2), (4, 15, 3)])
     def test_pool_runs_all_shares_but_the_callers(self, monkeypatch, cpus, n_trials,
                                                   pool_threads):
-        model, test = self._noisy_setup()
-        made = []
-        real_pool = transceiver.ThreadPoolExecutor
-
-        def spy(max_workers):
-            made.append(max_workers)
-            return real_pool(max_workers)
-
-        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(transceiver, "ThreadPoolExecutor", spy)
-        evaluate_accuracy(np.random.default_rng(50), model, S1, test, n_trials=n_trials)
-        assert made == [pool_threads]
+        caller, made, ran_on = self._threads_of_trials(monkeypatch, cpus, n_trials, 50)
+        assert made == [pool_threads + 1]
+        first_share = len(np.array_split(np.arange(n_trials), pool_threads + 1)[0])
+        assert ran_on.count(caller) == first_share and len(ran_on) == n_trials
 
     @pytest.mark.parametrize("cpus, n_trials", [(4, 1), (1, 15)])
     def test_one_trial_or_one_cpu_starts_no_thread(self, monkeypatch, cpus, n_trials):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was created")
+        def no_pool():
+            raise AssertionError("the worker pool was used")
 
-        model, test = self._noisy_setup()
-        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(transceiver, "ThreadPoolExecutor", no_pool)
-        evaluate_accuracy(np.random.default_rng(51), model, S1, test, n_trials=n_trials)
+        monkeypatch.setattr(nn, "_shared_pool", no_pool)
+        caller, _, ran_on = self._threads_of_trials(monkeypatch, cpus, n_trials, 51)
+        assert ran_on == [caller] * n_trials
 
     # trial ``bad`` of 4 fails: on the calling thread (its share holds trial 0)
     # or on a pool thread
     @pytest.mark.parametrize("cpus, bad", [(1, 2), (2, 0), (2, 3), (4, 0), (4, 3)])
     def test_error_in_one_trial_reaches_the_caller(self, monkeypatch, cpus, bad):
         _, test = self._noisy_setup()
-        monkeypatch.setattr(transceiver, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         seeds = np.random.default_rng(52).integers(0, 2 ** 63 - 1, size=4)
 
         def predict(trial_rng):
@@ -431,15 +458,6 @@ class TestConcurrentTrials:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert raised == [f"trial {bad} failed"]
-
-    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert transceiver.usable_cpus() == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert transceiver.usable_cpus() == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert transceiver.usable_cpus() == 1
 
 
 class TestWilson:
