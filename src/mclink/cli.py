@@ -181,7 +181,11 @@ def _resolve_flags(args) -> tuple[dict, int]:
     config = {}
     if args.config:
         blob = json.loads(Path(args.config).read_text())
-        config = dict(blob.get("params", blob))
+        config = blob.get("params", blob) if isinstance(blob, dict) else blob
+        if not isinstance(config, dict):
+            raise UsageError(f"{args.config}: expected a JSON object of parameters, "
+                             f"or a manifest whose \"params\" is one")
+        config = dict(config)
         if "params" in blob and "seed" in blob:
             config.setdefault("seed", blob["seed"])
 

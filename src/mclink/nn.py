@@ -13,14 +13,17 @@ composed forms as the reference):
   forms only the gradients some tensor requires;
 * ``cross_entropy``: floor, log, one-hot pick, row sum and batch mean;
 * in ``surrogate``, the mixture head's NLL (``mdn_nll``), and the frozen
-  channel net with its reparameterized draw as one node on the contexts.
+  channel net with its reparameterized draw as one node from the sent
+  frames to the received ones.
 
-Slicing, ``reshape`` and ``concat`` join those nodes into a graph. Every
-network trains through one loop, ``train``: SGD with momentum, early
-stopping, best-weight restore. Work that splits into independent parts
-runs through ``run_concurrently``, on the calling thread and the process's
-one worker pool. Each caller fixes its parts and combines their results
-in a fixed order, so a fixed seed gives the same bytes at any CPU count.
+Each node takes the whole tensor the one before it made, so the graphs
+need no slicing or joining ops, and each node hands its inputs gradients
+made for them alone. Every network trains through one loop, ``train``:
+SGD with momentum, early stopping, best-weight restore. Work that splits
+into independent parts runs through ``run_concurrently``, on the calling
+thread and the process's one worker pool. Each caller fixes its parts and
+combines their results in a fixed order, so a fixed seed gives the same
+bytes at any CPU count.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -58,19 +61,12 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` to ``grad``.
-
-        A first gradient is stored as a copy unless ``fresh``: the producer
-        made ``g`` for this tensor alone and keeps no other reference to it.
-        ``reshape`` and ``concat`` can pass views, and ``clip_gradients``
-        scales grads in place, so those copy.
-        """
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad``. A first gradient is kept as it is: every
+        node makes ``g`` for this tensor alone and keeps no other reference
+        to it, so ``clip_gradients`` and later sums may change it in place."""
         if self.grad is None:
-            if fresh:
-                self.grad = np.asarray(g, dtype=np.float64, order="C")
-            else:
-                self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = g
         else:
             self.grad += g
 
@@ -101,9 +97,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -118,24 +111,12 @@ def matmul(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T, fresh=True)
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ g, fresh=True)
+            b._accumulate(a.data.T @ g)
 
     return Tensor(a.data @ b.data, requires_grad=a.requires_grad or b.requires_grad,
                   parents=(a, b), backward_fn=backward_fn)
-
-
-def _unary(a, out_data, da, fresh: bool = False) -> Tensor:
-    """One-input node; ``fresh``: ``da`` returns a new array no one else holds."""
-    a = as_tensor(a)
-    y = out_data(a.data)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(da(g, a.data, y), fresh=fresh)
-
-    return Tensor(y, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward_fn)
 
 
 def _leaky_relu(x: np.ndarray) -> np.ndarray:
@@ -187,40 +168,6 @@ _ACTIVATION_FORMS = {
 ACTIVATIONS = tuple(_ACTIVATION_FORMS)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _unary(a, lambda x: x.reshape(shape), lambda g, x, y: g.reshape(x.shape))
-
-
-def getitem(a, idx) -> Tensor:
-    """Basic slicing with gradient scatter (no fancy indexing)."""
-    a = as_tensor(a)
-
-    def da(g, x, y):
-        z = np.zeros_like(x)
-        z[idx] = g
-        return z
-
-    return _unary(a, lambda x: x[idx].copy(), da, fresh=True)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    req = any(t.requires_grad for t in tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
-
-    return Tensor(data, requires_grad=req, parents=tuple(tensors), backward_fn=backward_fn)
-
-
 def apply_activation(z: np.ndarray, tag: str) -> np.ndarray:
     """The activation ``tag`` applied to an array: the forward step of ``dense``.
     A net's tags are checked when it is built."""
@@ -249,11 +196,11 @@ def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
     def backward_fn(g):
         dz = activation_grad(g, y, tag)
         if b.requires_grad:
-            b._accumulate(dz.sum(axis=0), fresh=True)
+            b._accumulate(dz.sum(axis=0))
         if h.requires_grad:
-            h._accumulate(dz @ w.data.T, fresh=True)
+            h._accumulate(dz @ w.data.T)
         if w.requires_grad:
-            w._accumulate(h.data.T @ dz, fresh=True)
+            w._accumulate(h.data.T @ dz)
 
     req = h.requires_grad or w.requires_grad or b.requires_grad
     return Tensor(y, requires_grad=req, parents=(h, w, b), backward_fn=backward_fn)
@@ -348,7 +295,7 @@ def cross_entropy(y, z):
         g = np.expand_dims(g * -1.0, -1) * z
         g /= floored
         g *= y_data > LOG_EPS
-        y_t._accumulate(g, fresh=True)
+        y_t._accumulate(g)
 
     return Tensor(loss, requires_grad=y_t.requires_grad, parents=(y_t,), backward_fn=backward_fn)
 

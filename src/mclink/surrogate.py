@@ -12,8 +12,12 @@ sampler, then frozen. Afterwards it serves as the differentiable channel
 for end-to-end transceiver training: a reparameterized draw
 mu_i + sqrt(sigma2_i) * eps carries gradients through mu and sigma2 while
 the component choice is held constant. The frozen net and its draw are one
-graph node on the contexts, which runs its two fixed row blocks on both
-cores where there are two and gives the same bytes on one.
+graph node from (B, k) release frames to the received symbols, the shape
+contract of the real channel's ``observe_frames``. Consecutive symbols of a
+frame occupy consecutive slots, so the node gives each symbol the context
+(itself, its predecessor), with a silent slot before the frame. It runs its
+two fixed row blocks on both cores where there are two and gives the same
+bytes on one.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
         grad[:, 0:h] += g_joint - np.exp(log_pi) * g_joint.sum(axis=-1, keepdims=True)
         grad[:, h:2 * h] += g_diff + g_diff
         grad[:, 2 * h:3 * h] += g_logvar * _unclipped(logvar_raw)
-        raw._accumulate(grad, fresh=True)
+        raw._accumulate(grad)
 
     return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
@@ -157,23 +161,29 @@ def _row_blocks(n: int) -> list[slice]:
     return [rows for rows in (slice(0, cut), slice(cut, n)) if rows.stop > rows.start]
 
 
-def _frozen_draw(net: DenseNet, ctx: Tensor, rng: np.random.Generator) -> Tensor:
-    """Reparameterized draw from the frozen net's mixtures, one sample per
-    context row, as one graph node on ``ctx``.
+def _frozen_draw(net: DenseNet, w: Tensor, rng: np.random.Generator) -> Tensor:
+    """Reparameterized draw from the frozen net's mixtures for (B, k)
+    release frames, one received symbol per slot, as one graph node on ``w``.
 
-    ``rng.random(n)`` picks each row's component from pi, treated as a
-    constant, then ``rng.standard_normal(n)`` gives its eps; the draw is
-    mu + sqrt(sigma2) * eps of that component, so gradients reach ``ctx``
-    through its mean and variance. The net runs ``dense``'s arithmetic
-    layer by layer on two fixed row blocks, the second on the shared worker
-    pool (:func:`nn.run_concurrently`); backward runs each block down to
-    the first layer's activation, and that layer's input product once on
-    all rows, since its sums round by the row count. So the values are
-    bit-identical to ``DenseNet.forward`` then the softmax, clip, exp, row
-    pick, sqrt and affine draw composed, at any CPU count.
+    Symbol j's context row is (w_j, w_{j-1}), silent before the frame; the
+    B*k rows run frame-major. ``rng.random`` picks each row's component from
+    pi, treated as a constant, then ``rng.standard_normal`` gives its eps;
+    the draw is mu + sqrt(sigma2) * eps of that component. The net runs
+    ``dense``'s arithmetic layer by layer on two fixed row blocks, the
+    second on the shared worker pool (:func:`nn.run_concurrently`); backward
+    runs each block down to the first layer's activation, and that layer's
+    input product once on all rows, since its sums round by the row count.
+    Each row's context gradient then folds onto its own slot and, for the
+    ISI column, onto the slot before. So the values are bit-identical to
+    ``DenseNet.forward`` on the context rows, then the softmax, clip, exp,
+    row pick, sqrt and affine draw composed, at any CPU count.
     """
-    x = ctx.data
-    n, h = len(x), net.dims[-1] // 3
+    b, k = w.data.shape
+    n, h = b * k, net.dims[-1] // 3
+    x = np.zeros((b, k, 2))
+    x[:, :, 0] = w.data
+    x[:, 1:, 1] = w.data[:, :-1]
+    x = x.reshape(n, 2)
     u = rng.random(n)
     eps = rng.standard_normal(n)
     layers = list(zip(net.weights, net.biases, net.activations))
@@ -184,9 +194,9 @@ def _frozen_draw(net: DenseNet, ctx: Tensor, rng: np.random.Generator) -> Tensor
     def forward(i, rows):
         y = x[rows]
         outputs = []
-        for w, b, tag in layers:
-            y = y @ w.data
-            y += b.data
+        for weight, bias, tag in layers:
+            y = y @ weight.data
+            y += bias.data
             y = nn.apply_activation(y, tag)
             outputs.append(y)
         pi = nn.apply_activation(y[:, 0:h], "softmax")
@@ -209,17 +219,24 @@ def _frozen_draw(net: DenseNet, ctx: Tensor, rng: np.random.Generator) -> Tensor
         grad = np.zeros_like(outputs[-1])
         grad[picked, h + idx] += g
         grad[picked, 2 * h + idx] += g * eps[rows] * 0.5 / sd * s2 * _unclipped(logvar_raw)
-        for (w, _, tag), y in zip(layers[:0:-1], outputs[:0:-1]):     # last layer to second
-            grad = nn.activation_grad(grad, y, tag) @ w.data.T
+        for (weight, _, tag), y in zip(layers[:0:-1], outputs[:0:-1]):   # last layer to second
+            grad = nn.activation_grad(grad, y, tag) @ weight.data.T
         first_grads[rows] = nn.activation_grad(grad, outputs[0], layers[0][2])
 
     def backward_fn(g):
         first_grads = np.empty((n, net.dims[1]))
-        nn.run_concurrently([partial(backward, g, first_grads, i, rows)
+        nn.run_concurrently([partial(backward, g.reshape(n), first_grads, i, rows)
                              for i, rows in enumerate(blocks)])
-        ctx._accumulate(first_grads @ net.weights[0].data.T, fresh=True)
+        ctx = (first_grads @ net.weights[0].data.T).reshape(b, k, 2)
+        # the successor's ISI column scattered into zeros, then the own
+        # slot's added, as the composed slicing did, so signed zeros match
+        fold = np.zeros((b, k))
+        fold[:, :-1] = ctx[:, 1:, 1]
+        fold += ctx[:, :, 0]
+        w._accumulate(fold)
 
-    return Tensor(out, requires_grad=ctx.requires_grad, parents=(ctx,), backward_fn=backward_fn)
+    return Tensor(out.reshape(b, k), requires_grad=w.requires_grad, parents=(w,),
+                  backward_fn=backward_fn)
 
 
 @dataclass
@@ -243,14 +260,15 @@ class ChannelSurrogate:
         self.net.set_requires_grad(False)
         return self
 
-    def sample_tensor(self, ctx: Tensor, rng: np.random.Generator) -> Tensor:
-        """Per-row received-symbol draw for (n, 2) contexts with a gradient
-        path into ``ctx``; the surrogate must be frozen."""
+    def sample_tensor(self, w: Tensor, rng: np.random.Generator) -> Tensor:
+        """Received (B, k) symbols for (B, k) release frames ``w``, as
+        :func:`observe_frames` takes them, with a gradient path into ``w``;
+        the surrogate must be frozen."""
         if not self.frozen:
             raise ValueError("channel surrogate must be frozen before it is sampled")
-        if ctx.data.ndim != 2 or ctx.data.shape[1] != self.net.dims[0]:
-            raise ValueError(f"contexts of shape {ctx.data.shape}; expected (n, {self.net.dims[0]})")
-        return _frozen_draw(self.net, ctx, rng)
+        if w.data.ndim != 2:
+            raise ValueError(f"frames of shape {w.data.shape}; expected (B, k)")
+        return _frozen_draw(self.net, w, rng)
 
     def save(self, path) -> None:
         # h stays in the header for its readers; load takes it from the net

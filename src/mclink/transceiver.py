@@ -14,9 +14,8 @@ the channel and runs only the receiver, on its own generator. The trials
 run concurrently, one share per usable CPU, through
 :func:`mclink.nn.run_concurrently`, whose worker pool also runs half of
 the surrogate's draw in training; both give the same bytes on one CPU.
-Consecutive symbols of a frame occupy consecutive slots, so each symbol's
-channel context is (itself, its predecessor), with a silent slot before the
-frame.
+Both channels take whole (B, k) frames and return the received (B, k)
+symbols, so the transceiver never sees a slot's channel context.
 """
 
 from __future__ import annotations
@@ -131,18 +130,6 @@ def encode_batch(model: SemanticModel, images: np.ndarray) -> Tensor:
     return model.quantizer.forward(model.encoder.forward(x))
 
 
-def _frame_contexts(w: Tensor) -> Tensor:
-    """Per-symbol (current, previous) context rows, silent before the frame.
-
-    (B, k) releases become (B*k, 2) rows ordered frame-major, so gradients
-    reach each symbol both from its own slot and from the successor's ISI
-    context.
-    """
-    b, k = w.data.shape
-    prev = nn.concat([Tensor(np.zeros((b, 1))), w[:, : k - 1]], axis=1)
-    return nn.concat([nn.reshape(w, (b * k, 1)), nn.reshape(prev, (b * k, 1))], axis=1)
-
-
 def transmit_train(
     rng: np.random.Generator,
     model: SemanticModel,
@@ -155,11 +142,7 @@ def transmit_train(
     parameters receive no gradient but the sampled symbols stay
     differentiable w.r.t. the transmit side.
     """
-    w = encode_batch(model, images)
-    b, k = w.data.shape
-    ctx = _frame_contexts(w)
-    w_rx = surrogate.sample_tensor(ctx, rng)
-    return model.decoder.forward(nn.reshape(w_rx, (b, k)))
+    return model.decoder.forward(surrogate.sample_tensor(encode_batch(model, images), rng))
 
 
 def transmit_eval(

@@ -5,9 +5,11 @@ The package trains through fused graph nodes (``nn.dense``,
 draw behind ``ChannelSurrogate.sample_tensor``) and builds its dataset with
 a table kernel. Each is bit-identical to a composition of simpler steps,
 and those compositions live here as the references the tests compare
-against: the elementwise autodiff ops with their finite-difference
-checker, the mixture density and mean, the draw on raw net outputs, the
-OOK detector's count threshold, and the per-image dataset loop. ``sub`` and
+against: the elementwise and slicing autodiff ops with their
+finite-difference checker, the mixture density and mean, the draw on raw
+net outputs, the OOK detector's count threshold, and the per-image dataset
+loop. As the package's nodes do, each op hands every input a gradient of
+its own, since a tensor keeps its first gradient as given. ``sub`` and
 ``neg`` spell the ``a - b`` and ``-a`` of the composed graphs as the same
 ops, in the same order. Beside them sit stand-ins: an unstandardized
 semantic model and a generator that replays frozen draws.
@@ -31,7 +33,6 @@ from mclink.nn import (
     _sigmoid_grad,
     _softmax,
     _softmax_grad,
-    _unary,
     apply_activation,
     as_tensor,
 )
@@ -58,6 +59,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _unary(a, out_data, da) -> Tensor:
+    """One-input node; ``da`` returns a new array no one else holds."""
+    a = as_tensor(a)
+    y = out_data(a.data)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(da(g, a.data, y))
+
+    return Tensor(y, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward_fn)
+
+
 def _binary(a, b, out_data, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     req = a.requires_grad or b.requires_grad
@@ -73,7 +86,9 @@ def _binary(a, b, out_data, da, db) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    # each parent gets its own copy of g: a tensor keeps its first gradient
+    # as given and adds later ones into it
+    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g.copy(), lambda g, x, y: g.copy())
 
 
 def mul(a, b) -> Tensor:
@@ -187,7 +202,17 @@ def take_rows(a, col_index: np.ndarray) -> Tensor:
         np.add.at(z, (rows, col_index), g)
         return z
 
-    return _unary(a, lambda x: x[rows, col_index].copy(), da, fresh=True)
+    return _unary(a, lambda x: x[rows, col_index].copy(), da)
+
+
+def getitem(a, idx) -> Tensor:
+    """Basic slicing with gradient scatter (no fancy indexing)."""
+    def da(g, x, y):
+        z = np.zeros_like(x)
+        z[idx] = g
+        return z
+
+    return _unary(a, lambda x: x[idx].copy(), da)
 
 
 def gradient_check(loss_fn: Callable[[], Tensor], params, h: float = 1e-5) -> float:
@@ -260,8 +285,9 @@ def sample_surrogate(rng: np.random.Generator, raw: Tensor) -> Tensor:
     (``rng.random``, then ``rng.standard_normal`` for eps) and treated as a
     constant; gradients flow through the selected mean and variance only.
     One graph node, bit-identical to the softmax, clip, exp, row pick, sqrt
-    and affine draw composed. ``sample_surrogate(rng, net.forward(ctx))`` is
-    the composed reference of ``ChannelSurrogate.sample_tensor``.
+    and affine draw composed. ``sample_surrogate(rng, net.forward(ctx))``
+    on a batch of frames' context rows is the composed reference of
+    ``ChannelSurrogate.sample_tensor`` on those frames.
     """
     x = raw.data
     n, h = x.shape[0], x.shape[1] // 3
@@ -281,7 +307,7 @@ def sample_surrogate(rng: np.random.Generator, raw: Tensor) -> Tensor:
         grad = np.zeros_like(x)
         grad[rows, h + idx] += g
         grad[rows, 2 * h + idx] += g * eps * 0.5 / sd * s2 * _unclipped(logvar_raw)
-        raw._accumulate(grad, fresh=True)
+        raw._accumulate(grad)
 
     return Tensor(out, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 

@@ -9,10 +9,12 @@ Criterion 1 note: the capture formula is a point-concentration
 approximation; at t = 0.5 s the molecule cloud's spread (28.3 um) is
 comparable to the receiver radius (20 um) and the exact sphere-averaged
 presence probability sits 19.6% above the formula (noncentral-chi-square
-closed form, confirmed by direct Monte Carlo). The 15% gate at that probe
-is therefore not satisfiable by a correct simulator; the criterion is
-asserted as stated anyway rather than loosened, and the failing probe is
-reported with its measured deviation.
+closed form, confirmed by direct Monte Carlo). At 100k particles a correct
+simulator reads 19.6% +- 6.5 points (one standard error) above the formula
+at that probe, so the 15% gate fails at the expected reading and at seed 0
+(17.3%), and passes by noise at about 1 seed in 4. The criterion is
+asserted as stated rather than loosened, and the probe is reported with
+its measured deviation.
 """
 
 import math
@@ -237,7 +239,9 @@ class TestCriterion5:
         gauss_nll = single_gaussian_nll(tgt[n_val:], tgt[:n_val])
 
         pctx, ptgt = generate_pairs(derive_rng(0, "acceptance", "probe"), S1, 20_000)
-        draws = surr.sample_tensor(Tensor(pctx), derive_rng(0, "acceptance", "draws")).data
+        # each context sent as the two-slot frame [w_prev, w_curr], as the pairs were
+        frames = Tensor(pctx[:, ::-1])
+        draws = surr.sample_tensor(frames, derive_rng(0, "acceptance", "draws")).data[:, 1]
         worst = 0.0
         for lo in (0.0, 0.2, 0.4, 0.6, 0.8):
             for prev_half in (0, 1):

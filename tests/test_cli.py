@@ -464,6 +464,15 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("blob", [[1, 2], 3, "text", None, {"params": 4},
+                                      {"params": [["train_count", 3]]}, {"params": "ab"}])
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys, blob):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(blob))
+        assert run(["gen-data", "--config", path, "--out", tmp_path / "out"]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_strings_and_json_booleans_in_config_are_accepted(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n_m": "300", "dt": "0.5", "symbols": "2"}))

@@ -186,10 +186,11 @@ class TestBackward:
         rng = np.random.default_rng(10)
         w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         x = Tensor(rng.normal(size=(4, 3)))
+        v, c = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=3))
         gc.disable()
         try:
-            h = nn.concat([ref.exp(nn.matmul(x, w)), x], axis=1)   # binary, unary, concat
-            loss = ref.tsum(ref.mul(h, h))
+            h = nn.dense(ref.exp(nn.matmul(x, w)), v, c, "softmax")   # binary, unary, dense
+            loss = nn.cross_entropy(h, np.eye(3)[[0, 2, 1, 0]])
             loss.backward()
             probes = [weakref.ref(t) for t in (loss, h, h._parents[0], h._parents[0]._parents[0])]
             del loss, h, x
@@ -224,21 +225,6 @@ class TestBackward:
         z[np.arange(6), rng.integers(0, 4, size=6)] = 1.0
         loss_fn = lambda: cross_entropy(net.forward(Tensor(x)), z)
         assert gradient_check(loss_fn, net.parameters()) < 1e-4
-
-    def test_gradient_check_gather_concat_reshape_clip(self):
-        rng = np.random.default_rng(7)
-        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        idx = np.array([0, 2, 1, 4])
-
-        def loss_fn():
-            joined = nn.concat([a, b], axis=1)                  # (4,5)
-            clipped = ref.clip(joined, -0.9, 0.9)
-            picked = ref.take_rows(clipped, idx)                # (4,)
-            flat = nn.reshape(ref.mul(picked, picked), (2, 2))
-            return ref.tsum(ref.sqrt(ref.maximum_scalar(flat, 1e-3)))
-
-        assert gradient_check(loss_fn, [a, b]) < 1e-4
 
     def test_gradient_check_exp_log_power(self):
         rng = np.random.default_rng(8)
@@ -365,8 +351,8 @@ class TestDense:
         assert np.array_equal(a.grad, expected) and np.array_equal(b.grad, expected)
 
 
-def copying_accumulate(self, g, fresh=False):
-    """``Tensor._accumulate`` as it was: every first gradient stored as a copy."""
+def copying_accumulate(self, g):
+    """``Tensor._accumulate`` with every first gradient stored as a copy."""
     if self.grad is None:
         self.grad = np.array(g, dtype=np.float64, order="C")
     else:
@@ -378,7 +364,7 @@ class TestFreshGradients:
 
     @staticmethod
     def _transceiver_batch():
-        # dense, getitem, concat, reshape, the surrogate draw and cross-entropy
+        # dense, the surrogate draw and cross-entropy
         rng = np.random.default_rng(16)
         model = ref.unstandardized_model(rng, image_shape=(8, 8, 1))
         surrogate = ChannelSurrogate(net=build_mdn_net(rng)).freeze()

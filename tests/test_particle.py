@@ -18,6 +18,20 @@ from mclink.particle import (
 
 S1 = scenario("scenario1")
 S2 = scenario("scenario2")
+TAIL_4_5_SE = math.erfc(4.5 / math.sqrt(2.0))   # two-sided tail of a 4.5-SE normal band
+
+
+def binomial_band(n, p, tail):
+    """The counts [lo, hi] of Binomial(n, p) outside which each tail holds
+    at most ``tail / 2``, from the exact law (the window of +-10 SD and 10
+    more counts leaves out far less mass than that)."""
+    sd = math.sqrt(n * p * (1 - p))
+    ks = np.arange(max(0, math.floor(n * p - 10 * sd - 10)),
+                   min(n, math.ceil(n * p + 10 * sd + 10)) + 1)
+    pmf = np.exp([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                  + k * math.log(p) + (n - k) * math.log1p(-p) for k in ks.tolist()])
+    inside = (np.cumsum(pmf) > tail / 2) & (np.cumsum(pmf[::-1])[::-1] > tail / 2)
+    return ks[inside][0], ks[inside][-1]
 
 
 class TestConfig:
@@ -50,11 +64,23 @@ class TestPresence:
             assert abs(emp - truth) < 3.5 * se
 
     def test_matches_exact_law_scenario2_defaults(self):
+        # about 0.54 particles are expected at 1.4995 s and 1.5005 s, where a
+        # normal band understates the count's upper tail; the exact binomial
+        # band keeps the 4.5-SE band's tail probability
         cfg = default_sim_config("scenario2")
         for t, emp in simulate_presence(cfg, S2):
-            truth = exact_presence(S2, t)
-            se = math.sqrt(truth * (1 - truth) / cfg.n_particles)
-            assert abs(emp - truth) < 4.5 * se
+            lo, hi = binomial_band(cfg.n_particles, exact_presence(S2, t), TAIL_4_5_SE)
+            assert lo <= round(emp * cfg.n_particles) <= hi
+
+    def test_binomial_band_tails(self):
+        # at n p = 0.54 the count may reach 6: P(X >= 7) = 1.7e-6 is under
+        # half the tail (3.4e-6), P(X >= 6) = 2.2e-5 is not
+        assert binomial_band(100_000, 5.4e-6, TAIL_4_5_SE) == (0, 6)
+        # where the normal law holds, the band is the 4.5-SE band
+        lo, hi = binomial_band(100_000, 0.3, TAIL_4_5_SE)
+        se = math.sqrt(100_000 * 0.3 * 0.7)
+        assert abs(lo - (30_000 - 4.5 * se)) < 0.02 * se + 1
+        assert abs(hi - (30_000 + 4.5 * se)) < 0.02 * se + 1
 
     def test_matches_formula_in_validity_region(self):
         # the formula sits 3.7-4.7% above the exact law at these probes; 200k

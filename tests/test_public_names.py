@@ -6,7 +6,9 @@ Here a module-level ``def`` or ``class`` without a leading underscore
 counts as reached when some code under ``src/mclink`` or ``bench/`` refers
 to it: by its bare name inside its own module, as ``module.name``, through
 ``from .module import name``, or (in ``bench/``, which rebinds package
-functions by name) as a string. Docstrings and comments do not count.
+functions by name) as a string. Docstrings and comments do not count. A
+module-level ``def`` or ``class`` with a leading underscore is the
+package's own, so code under ``src/mclink`` must refer to it.
 
 Likewise a parameter with a default that no caller passes is a setting
 only the tests turn. A call passes a parameter by keyword, by position
@@ -41,16 +43,17 @@ DEFAULTS_KEPT = {
 }
 
 
-def public_definitions():
+def definitions(private=False):
     for path in SRC:
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private):
                 yield path.stem, node.name
 
 
-def references():
+def references(paths=SRC + BENCH):
     found, strings = set(), set()
-    for path in SRC + BENCH:
+    for path in paths:
         own = path.stem if path in SRC else None
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and own:
@@ -66,16 +69,21 @@ def references():
 
 def test_every_public_name_is_reached_outside_the_tests():
     found, strings = references()
-    unreached = [key for key in public_definitions()
+    unreached = [key for key in definitions()
                  if key not in found and key[1] not in strings]
     assert sorted(set(unreached) - set(UNREACHED_BY_DESIGN)) == []
+
+
+def test_every_private_definition_is_used_by_the_package():
+    found, _ = references(SRC)
+    assert sorted(set(definitions(private=True)) - found) == []
 
 
 def test_every_exception_is_still_defined_and_unreached():
     # an exception that gained a caller, or lost its definition, leaves the list
     found, strings = references()
     for module, name in UNREACHED_BY_DESIGN:
-        assert (module, name) in set(public_definitions())
+        assert (module, name) in set(definitions())
         assert (module, name) not in found and name not in strings
 
 

@@ -57,18 +57,22 @@ def zeroed_final_layer(net):
 
 # -- the composed ops the fused head nodes replaced, kept as the reference --
 
+def columns(t, lo, hi):
+    return ref.getitem(t, (slice(None), slice(lo, hi)))
+
+
 def ref_head_tensors(raw, h):
-    pi = ref.softmax(raw[:, 0:h], axis=-1)
-    mu = raw[:, h:2 * h]
-    logvar = ref.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    pi = ref.softmax(columns(raw, 0, h), axis=-1)
+    mu = columns(raw, h, 2 * h)
+    logvar = ref.clip(columns(raw, 2 * h, 3 * h), LOGVAR_MIN, LOGVAR_MAX)
     return pi, mu, ref.exp(logvar)
 
 
 def ref_mdn_nll(raw, targets):
     h = raw.data.shape[1] // 3
-    log_pi = ref.log_softmax(raw[:, 0:h], axis=-1)
-    mu = raw[:, h:2 * h]
-    logvar = ref.clip(raw[:, 2 * h:3 * h], LOGVAR_MIN, LOGVAR_MAX)
+    log_pi = ref.log_softmax(columns(raw, 0, h), axis=-1)
+    mu = columns(raw, h, 2 * h)
+    logvar = ref.clip(columns(raw, 2 * h, 3 * h), LOGVAR_MIN, LOGVAR_MAX)
     diff = ref.sub(mu, Tensor(targets.reshape(-1, 1)))
     log_kernel = ref.sub(
         ref.mul(ref.add(logvar, ref.mul(ref.mul(diff, diff), ref.exp(ref.neg(logvar)))), -0.5),
@@ -86,6 +90,26 @@ def ref_sample(rng, raw, h):
     mu_sel = ref.take_rows(mu_t, idx)
     s2_sel = ref.take_rows(s2_t, idx)
     return ref.add(mu_sel, ref.mul(ref.sqrt(s2_sel), Tensor(eps)))
+
+
+def frame_contexts(w):
+    """The frame-major (B*k, 2) context rows of (B, k) frames: symbol j gets
+    (w_j, w_{j-1}), with a silent slot before the frame."""
+    prev = np.zeros_like(w)
+    prev[:, 1:] = w[:, :-1]
+    return np.stack([w.reshape(-1), prev.reshape(-1)], axis=1)
+
+
+def fold_context_grad(g, b, k):
+    """Context-row gradients on (B, k) frames, summed as the composed graph
+    of slices, reshapes and joins summed them: each symbol's own column,
+    plus the successor's ISI column scattered into zeros."""
+    g = g.reshape(b, k, 2)
+    own = g[:, :, 0].copy()
+    isi = np.zeros((b, k))
+    isi[:, :-1] = g[:, 1:, 1]
+    own += isi
+    return own
 
 
 class FixedOutput:
@@ -395,20 +419,26 @@ class TestFusedHeads:
     def test_sample_tensor_context_gradient_matches_composed_ops(self):
         surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(8))).freeze()
         surr.net.biases[-1].data[4] = -16.0
-        ctx = np.random.default_rng(9).uniform(size=(48, 2))
-        got_ctx, want_ctx = Tensor(ctx, requires_grad=True), Tensor(ctx, requires_grad=True)
-        got = surr.sample_tensor(got_ctx, np.random.default_rng(10))
+        w = np.random.default_rng(9).uniform(size=(3, 16))
+        got_w = Tensor(w, requires_grad=True)
+        want_ctx = Tensor(frame_contexts(w), requires_grad=True)
+        got = surr.sample_tensor(got_w, np.random.default_rng(10))
         want = ref_sample(np.random.default_rng(10), surr.net.forward(want_ctx), surr.h)
-        assert same_bytes(got.data, want.data)
+        assert same_bytes(got.data, want.data.reshape(3, 16))
         ref.tsum(ref.mul(got, got)).backward()
         ref.tsum(ref.mul(want, want)).backward()
-        assert same_bytes(got_ctx.grad, want_ctx.grad)
+        assert same_bytes(got_w.grad, fold_context_grad(want_ctx.grad, 3, 16))
 
 
 class TestFrozenDraw:
     """``sample_tensor`` is one node for the frozen net and its draw, run on
-    two fixed row blocks; draws and context gradients are bit-identical to
-    ``DenseNet.forward`` then the draw on its raw output, at any CPU count."""
+    two fixed row blocks; draws and frame gradients are bit-identical to
+    ``DenseNet.forward`` on the frames' context rows, then the draw on its
+    raw output, at any CPU count."""
+
+    # context rows b * k -> (b, k)
+    FRAMES = {1: (1, 1), 2: (1, 2), 3: (3, 1), 4: (2, 2), 5: (5, 1), 17: (17, 1),
+              48: (3, 16), 1024: (64, 16), 1920: (120, 16)}
 
     @staticmethod
     def _surrogate():
@@ -417,29 +447,31 @@ class TestFrozenDraw:
         return surr
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 17, 48, 1024, 1920])
+    @pytest.mark.parametrize("rows", list(FRAMES))
     def test_matches_the_composed_reference(self, monkeypatch, cpus, rows):
         monkeypatch.setattr(nn, "usable_cpus", lambda: cpus)
         surr = self._surrogate()
+        b, k = self.FRAMES[rows]
         rng = np.random.default_rng(rows)
-        ctx = rng.uniform(size=(rows, 2))
+        w = rng.uniform(size=(b, k))
         weights = rng.normal(size=rows)
         weights[::4], weights[1::4] = 0.0, -0.0         # zero upstream gradients of both signs
-        got_ctx, want_ctx = Tensor(ctx, requires_grad=True), Tensor(ctx, requires_grad=True)
+        got_w = Tensor(w, requires_grad=True)
+        want_ctx = Tensor(frame_contexts(w), requires_grad=True)
         got_rng, want_rng = np.random.default_rng(61), np.random.default_rng(61)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)         # interleave the two blocks' threads finely
         try:
-            got = surr.sample_tensor(got_ctx, got_rng)
-            ref.tsum(ref.mul(got, Tensor(weights))).backward()
+            got = surr.sample_tensor(got_w, got_rng)
+            ref.tsum(ref.mul(got, Tensor(weights.reshape(b, k)))).backward()
         finally:
             sys.setswitchinterval(switch)
         want = sample_surrogate(want_rng, surr.net.forward(want_ctx))
         ref.tsum(ref.mul(want, Tensor(weights))).backward()
-        assert got._parents == (got_ctx,)               # one node on the contexts
-        assert same_bytes(got.data, want.data)
+        assert got._parents == (got_w,)                 # one node on the frames
+        assert same_bytes(got.data, want.data.reshape(b, k))
         assert got_rng.random() == want_rng.random()    # the same draws were spent
-        assert same_bytes(got_ctx.grad, want_ctx.grad)
+        assert same_bytes(got_w.grad, fold_context_grad(want_ctx.grad, b, k))
         assert all(t.grad is None for t in surr.net.parameters())
 
     def test_second_block_runs_on_a_worker_with_two_cpus(self, monkeypatch):
@@ -452,7 +484,7 @@ class TestFrozenDraw:
 
         monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
         monkeypatch.setattr(nn, "apply_activation", spy)
-        self._surrogate().sample_tensor(Tensor(np.full((64, 2), 0.5)), np.random.default_rng(62))
+        self._surrogate().sample_tensor(Tensor(np.full((4, 16), 0.5)), np.random.default_rng(62))
         caller = threading.get_ident()
         # five layers and the softmax per block, one block on each thread
         assert ran_on.count(caller) == 6 and len(ran_on) == 12
@@ -461,26 +493,26 @@ class TestFrozenDraw:
         # a node that did would make every batch's graph a reference cycle,
         # freed only by the cyclic collector
         surr = self._surrogate()
-        ctx = Tensor(np.random.default_rng(63).uniform(size=(32, 2)), requires_grad=True)
+        w = Tensor(np.random.default_rng(63).uniform(size=(2, 16)), requires_grad=True)
         gc.collect()
         gc.disable()
         try:
-            out = surr.sample_tensor(ctx, np.random.default_rng(64))
+            out = surr.sample_tensor(w, np.random.default_rng(64))
             probe = weakref.ref(out)
             ref.tsum(out).backward()
             del out
             assert probe() is None
         finally:
             gc.enable()
-        assert ctx.grad is not None
+        assert w.grad is not None
 
     def test_checks_frozen_net_and_context_width(self):
         surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(65)))
         with pytest.raises(ValueError, match="frozen"):
             surr.sample_tensor(Tensor(np.zeros((4, 2))), np.random.default_rng(0))
         surr.freeze()
-        for shape in ((4, 3), (4,)):
-            with pytest.raises(ValueError, match="contexts"):
+        for shape in ((4,), (2, 4, 2)):
+            with pytest.raises(ValueError, match="frames"):
                 surr.sample_tensor(Tensor(np.zeros(shape)), np.random.default_rng(0))
 
 
@@ -516,10 +548,10 @@ class TestChannelSurrogate:
                             "channel": {"scenario": "scenario1"}})
         loaded = ChannelSurrogate.load(path)
         current = ChannelSurrogate(net=net).freeze()
-        ctx = Tensor(np.random.default_rng(6).uniform(size=(8, 2)))
-        draws = loaded.sample_tensor(ctx, np.random.default_rng(7)).data
+        frames = Tensor(np.random.default_rng(6).uniform(size=(2, 8)))
+        draws = loaded.sample_tensor(frames, np.random.default_rng(7)).data
         assert loaded.frozen and loaded.channel == {"scenario": "scenario1"}
-        assert np.array_equal(draws, current.sample_tensor(ctx, np.random.default_rng(7)).data)
+        assert np.array_equal(draws, current.sample_tensor(frames, np.random.default_rng(7)).data)
 
 
 @pytest.fixture(scope="module")

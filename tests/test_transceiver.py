@@ -58,8 +58,8 @@ class IdentitySurrogate:
 
     frozen = True
 
-    def sample_tensor(self, ctx, rng):
-        return ctx[:, 0]
+    def sample_tensor(self, w, rng):
+        return w
 
 
 @pytest.fixture(scope="module")
