@@ -16,12 +16,11 @@ from __future__ import annotations
 import os
 
 # BLAS threading is pinned before numpy loads so CLI runs are repeatable;
-# raise MCLINK_BLAS_THREADS explicitly to trade determinism for speed.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ.get("MCLINK_BLAS_THREADS", "1"))
-os.environ.setdefault("OMP_NUM_THREADS", os.environ.get("MCLINK_BLAS_THREADS", "1"))
+# set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS to trade determinism for speed.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -180,7 +179,7 @@ def _resolve_flags(args) -> tuple[dict, int]:
     """
     config = {}
     if args.config:
-        blob = json.loads(Path(args.config).read_text())
+        blob = runio.load_manifest(args.config)
         config = blob.get("params", blob) if isinstance(blob, dict) else blob
         if not isinstance(config, dict):
             raise UsageError(f"{args.config}: expected a JSON object of parameters, "
@@ -191,8 +190,8 @@ def _resolve_flags(args) -> tuple[dict, int]:
 
     def resolve(name, kind, default, _help):
         flag = name.replace("_", "-")
-        value = next((v for v in (getattr(args, name), config.get(name), config.get(flag),
-                                  default) if v is not None), None)
+        value = next((v for v in (getattr(args, name), config.get(name), default)
+                      if v is not None), None)
         try:
             return None if value is None else kind(value)
         except (TypeError, ValueError) as err:
@@ -263,11 +262,16 @@ def sweep(seed, train_set, test_set, links, n_pairs, epochs, trials):
 def cmd_validate_physics(params: dict, seed: int) -> int:
     with _resolving():
         p = _channel_params(params)
-        cfg = particle.default_sim_config(params["scenario"], n_particles=params["particles"],
-                                          seed=seed)
         if params["times"] is not None:
             times = tuple(float(t) for t in params["times"].split(","))
-            cfg = replace(cfg, record_times=times)
+            cfg = particle.ParticleSimConfig(n_particles=params["particles"],
+                                             record_times=times, seed=seed)
+        elif params["scenario"] in channel.scenario_names():
+            cfg = particle.default_sim_config(params["scenario"],
+                                              n_particles=params["particles"], seed=seed)
+        else:
+            raise UsageError(f"--times: {params['scenario']} is a scenario file, which has "
+                             "no default probe grid; give the probe times")
     # the probes whose formula value is large enough for a relative error; an
     # invalid formula stays a runtime failure, as in the oracle's curve
     checked = {t for t in cfg.record_times
@@ -331,6 +335,7 @@ def cmd_gen_data(params: dict, seed: int) -> int:
 def cmd_fit_channel(params: dict, seed: int) -> int:
     with _resolving():
         p = _channel_params(params)
+        surrogate.check_memory(p)
         cfg = replace(surrogate.FIT_CONFIG, epochs=params["epochs"])
     out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
@@ -430,6 +435,8 @@ def cmd_sweep(params: dict, seed: int) -> int:
         except ValueError as err:
             raise UsageError(f"--n-m-list: {err}") from err
         links = [(n_m, _channel_params({**params, "n_m": n_m})) for n_m in budgets]
+        for _, p in links:
+            surrogate.check_memory(p)
 
     rows = []
     for n_m, (acc, lo, hi), (bacc, blo, bhi) in sweep(

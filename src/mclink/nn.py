@@ -12,7 +12,7 @@ composed forms as the reference):
   backward takes the activation's derivative from the layer output and
   forms only the gradients some tensor requires;
 * ``cross_entropy``: floor, log, one-hot pick, row sum and batch mean;
-* in ``surrogate``, the mixture head's NLL (``mdn_nll``), and the frozen
+* in ``surrogate``, the mixture head's NLL (``mdn_nll``), and the fitted
   channel net with its reparameterized draw as one node from the sent
   frames to the received ones.
 
@@ -186,7 +186,7 @@ def dense(h, w: Tensor, b: Tensor, tag: str) -> Tensor:
     The same array operations as ``matmul``, ``add`` and the activation
     composed, so every value is bit-identical to theirs. The node keeps
     only its output; backward forms a gradient only for an input that
-    requires one (a frozen layer skips its weight products).
+    requires one.
     """
     h = as_tensor(h)
     z = h.data @ w.data
@@ -257,47 +257,39 @@ class DenseNet:
     def parameters(self) -> list[Tensor]:
         return [t for pair in zip(self.weights, self.biases) for t in pair]
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self.parameters():
-            t.requires_grad = flag
 
+def cross_entropy(y: Tensor, z) -> Tensor:
+    """Mean cross-entropy -sum z_i log y_i between (B, c) predictions y and
+    one-hot rows z, as one graph node.
 
-def cross_entropy(y, z):
-    """Mean cross-entropy -sum z_i log y_i between predictions y and one-hot z.
-
-    ``y`` may be a Tensor (returns a Tensor on the graph) or an array
-    (returns a float). Each y row must sum to 1 within 1e-6; z must be
-    exactly one-hot. Logs are floored at 1e-12.
+    Each y row must sum to 1 within 1e-6; z must be exactly one-hot. Logs
+    are floored at 1e-12.
     """
-    y_t = y if isinstance(y, Tensor) else None
-    y_data = y.data if y_t is not None else np.asarray(y, dtype=np.float64)
+    if not isinstance(y, Tensor):
+        raise TypeError(f"predictions must be a Tensor, got {type(y).__name__}")
     z = np.asarray(z, dtype=np.float64)
-    if y_data.shape != z.shape:
-        raise ValueError(f"shape mismatch: y {y_data.shape} vs z {z.shape}")
-    z2 = z.reshape(-1, z.shape[-1])
-    if not (((z2 == 0.0) | (z2 == 1.0)).all() and (z2.sum(axis=1) == 1.0).all()):
+    if y.data.ndim != 2 or y.data.shape != z.shape:
+        raise ValueError(f"predictions of shape {y.data.shape} and one-hot rows of shape "
+                         f"{z.shape}; expected both (B, c)")
+    if not (((z == 0.0) | (z == 1.0)).all() and (z.sum(axis=1) == 1.0).all()):
         raise ValueError("z must be one-hot")
-    sums = y_data.reshape(-1, y_data.shape[-1]).sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6:
+    if np.abs(y.data.sum(axis=1) - 1.0).max() > 1e-6:
         raise ValueError("each y row must sum to 1 within 1e-6")
     # one node: the array operations of maximum_scalar, log, mul, tsum, the
     # -1 factor and tmean composed, forward and backward, in their order
-    floored = np.maximum(y_data, LOG_EPS)
+    floored = np.maximum(y.data, LOG_EPS)
     per = (z * np.log(floored)).sum(axis=-1) * -1.0
     n = per.size
-    loss = per if per.ndim == 0 else per.sum() / n
-    if y_t is None:
-        return float(loss)
 
     def backward_fn(g):
-        if per.ndim:
-            g = np.broadcast_to(g / n, per.shape)
+        g = np.broadcast_to(g / n, per.shape)
         g = np.expand_dims(g * -1.0, -1) * z
         g /= floored
-        g *= y_data > LOG_EPS
-        y_t._accumulate(g)
+        g *= y.data > LOG_EPS
+        y._accumulate(g)
 
-    return Tensor(loss, requires_grad=y_t.requires_grad, parents=(y_t,), backward_fn=backward_fn)
+    return Tensor(per.sum() / n, requires_grad=y.requires_grad, parents=(y,),
+                  backward_fn=backward_fn)
 
 
 def clip_gradients(params, max_norm: float) -> float:

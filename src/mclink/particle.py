@@ -60,11 +60,14 @@ def default_sim_config(scenario_name: str, n_particles: int = 100_000, seed: int
 
     The fast-drift scenario needs a narrow probe window around the
     ballistic arrival, where the presence probability is non-negligible.
+    Only the two built-in scenarios have a grid; any other name is refused.
     """
     if scenario_name == "scenario2":
         times = (1.4995, 1.4998, 1.5, 1.5002, 1.5005)
-    else:
+    elif scenario_name == "scenario1":
         times = (0.5, 1.0, 1.2585, 2.0, 4.0)
+    else:
+        raise ValueError(f"no default probe grid for scenario {scenario_name!r}")
     return ParticleSimConfig(n_particles=n_particles, record_times=times, seed=seed)
 
 

@@ -46,8 +46,6 @@ def fmt_cell(value) -> str:
     """Deterministic CSV cell: shortest round-trip repr for floats."""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -97,5 +95,6 @@ def write_manifest(out_dir, command: str, params: dict, seed: int,
 
 
 def load_manifest(path) -> dict:
+    """Parse a JSON file: a run's manifest, or a ``--config`` of parameters."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

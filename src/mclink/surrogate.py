@@ -8,15 +8,16 @@ mixture over the normalized received symbol:
     p(w_rx | context) = sum_i pi_i N(w_rx; mu_i, sigma2_i).
 
 It is fitted by negative log-likelihood on pairs drawn from the real slot
-sampler, then frozen. Afterwards it serves as the differentiable channel
-for end-to-end transceiver training: a reparameterized draw
-mu_i + sqrt(sigma2_i) * eps carries gradients through mu and sigma2 while
-the component choice is held constant. The frozen net and its draw are one
-graph node from (B, k) release frames to the received symbols, the shape
-contract of the real channel's ``observe_frames``. Consecutive symbols of a
-frame occupy consecutive slots, so the node gives each symbol the context
-(itself, its predecessor), with a silent slot before the frame. It runs its
-two fixed row blocks on both cores where there are two and gives the same
+sampler. Afterwards it serves as the differentiable channel for end-to-end
+transceiver training: a reparameterized draw mu_i + sqrt(sigma2_i) * eps
+carries gradients through mu and sigma2 while the component choice is held
+constant. The net and its draw are one graph node from (B, k) release
+frames to the received symbols, the shape contract of the real channel's
+``observe_frames``; it reads the net's arrays, so no gradient reaches the
+net. Consecutive symbols of a frame occupy consecutive slots, so the node
+gives each symbol the context (itself, its predecessor), with a silent slot
+before the frame, and models links of memory 1 at most. It runs its two
+fixed row blocks on both cores where there are two and gives the same
 bytes on one.
 """
 
@@ -67,6 +68,13 @@ def generate_pairs(
         raise ValueError("need at least one pair")
     contexts = rng.uniform(size=(n, 2))
     return contexts, observe_frames(rng, p, contexts[:, ::-1])[:, 1]
+
+
+def check_memory(p: ChannelParams) -> None:
+    """Refuse a link of memory above 1: a context holds one previous slot."""
+    if p.memory > 1:
+        raise ValueError(f"memory = {p.memory}: the channel surrogate's context holds one "
+                         "previous slot, so it models links of memory 1 or less")
 
 
 def write_pairs_csv(path, pairs: tuple[np.ndarray, np.ndarray]) -> None:
@@ -162,8 +170,8 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _frozen_draw(net: DenseNet, w: Tensor, rng: np.random.Generator) -> Tensor:
-    """Reparameterized draw from the frozen net's mixtures for (B, k)
-    release frames, one received symbol per slot, as one graph node on ``w``.
+    """Reparameterized draw from the net's mixtures for (B, k) release
+    frames, one received symbol per slot, as one graph node on ``w``.
 
     Symbol j's context row is (w_j, w_{j-1}), silent before the frame; the
     B*k rows run frame-major. ``rng.random`` picks each row's component from
@@ -251,21 +259,10 @@ class ChannelSurrogate:
         """Mixture components: a third of the net's (pi, mu, log-variance) outputs."""
         return self.net.dims[-1] // 3
 
-    @property
-    def frozen(self) -> bool:
-        """True once no parameter of the net takes a gradient."""
-        return not any(t.requires_grad for t in self.net.parameters())
-
-    def freeze(self) -> "ChannelSurrogate":
-        self.net.set_requires_grad(False)
-        return self
-
     def sample_tensor(self, w: Tensor, rng: np.random.Generator) -> Tensor:
         """Received (B, k) symbols for (B, k) release frames ``w``, as
-        :func:`observe_frames` takes them, with a gradient path into ``w``;
-        the surrogate must be frozen."""
-        if not self.frozen:
-            raise ValueError("channel surrogate must be frozen before it is sampled")
+        :func:`observe_frames` takes them, with a gradient path into ``w``
+        and none into the net."""
         if w.data.ndim != 2:
             raise ValueError(f"frames of shape {w.data.shape}; expected (B, k)")
         return _frozen_draw(self.net, w, rng)
@@ -278,7 +275,7 @@ class ChannelSurrogate:
     @classmethod
     def load(cls, path) -> "ChannelSurrogate":
         _, nets, meta = nn.load_checkpoint(path, expect_role=SURROGATE_ROLE)
-        return cls(net=nets["mdn"], channel=meta.get("channel", {})).freeze()
+        return cls(net=nets["mdn"], channel=meta.get("channel", {}))
 
 
 FIT_CONFIG = nn.TrainConfig(epochs=150, batch_size=256, lr=5e-3, min_lr=1e-5,
@@ -293,12 +290,13 @@ def fit_channel(
     pairs: tuple[np.ndarray, np.ndarray],
 ) -> tuple[ChannelSurrogate, dict]:
     """Fit the mixture net by NLL on ``pairs``, drawn for link ``p`` by
-    :func:`generate_pairs`, and freeze it.
+    :func:`generate_pairs`, if :func:`check_memory` accepts the link.
 
     The first tenth of the pairs validates. The loss stiffens as the
     variances shrink, hence the rate decay and gradient clipping. Returns
     the surrogate and :func:`nn.train`'s history (``train_nll``/``val_nll``).
     """
+    check_memory(p)
     contexts, targets = pairs
     n_val = max(1, int(len(targets) * nn.VAL_FRACTION))
     val_ctx, val_tgt = contexts[:n_val], targets[:n_val]
@@ -309,8 +307,7 @@ def fit_channel(
         rng, net.parameters(), len(tr_tgt),
         lambda rows: mdn_nll(net, (tr_ctx[rows], tr_tgt[rows])), cfg,
         validate=lambda: float(mdn_nll(net, (val_ctx, val_tgt)).data), loss_name="nll")
-    surrogate = ChannelSurrogate(net=net, channel={"params": asdict(p)})
-    return surrogate.freeze(), history
+    return ChannelSurrogate(net=net, channel={"params": asdict(p)}), history
 
 
 def single_gaussian_nll(train_targets, heldout_targets) -> float:

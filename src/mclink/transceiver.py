@@ -6,7 +6,7 @@ release fractions W in (0,1)^k, transmitted one symbol per slot, and the
 received normalized symbols are decoded (three layers, softmax head) into
 class probabilities.
 
-Training runs the symbols through the frozen channel surrogate so that the
+Training runs the symbols through the fitted channel surrogate so that the
 cross-entropy gradient reaches the encoder and quantizer; evaluation runs
 them through the real slot sampler instead. The transmitter draws no
 randomness, so an evaluation runs it once; each noise trial then draws only
@@ -138,9 +138,8 @@ def transmit_train(
 ) -> Tensor:
     """Class probabilities with the full gradient path through the surrogate.
 
-    The surrogate must be frozen (its ``sample_tensor`` checks); its
-    parameters receive no gradient but the sampled symbols stay
-    differentiable w.r.t. the transmit side.
+    The sampled symbols stay differentiable w.r.t. the transmit side; the
+    surrogate's draw gives its net no gradient.
     """
     return model.decoder.forward(surrogate.sample_tensor(encode_batch(model, images), rng))
 
@@ -178,7 +177,7 @@ def train_end_to_end(
     cfg: nn.TrainConfig = TRAIN_CONFIG,
     model: SemanticModel | None = None,
 ) -> tuple[SemanticModel, dict]:
-    """Minimize mean cross-entropy through the frozen surrogate.
+    """Minimize mean cross-entropy through the surrogate; only the model trains.
 
     A random tenth of the set validates, through the surrogate too. Returns
     the model with its best-validation parameters and :func:`nn.train`'s
@@ -186,8 +185,6 @@ def train_end_to_end(
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
-    if not surrogate.frozen:
-        raise ValueError("channel surrogate must be frozen before joint training")
     images, labels = train_set.images, train_set.labels
     n_val = max(1, int(len(labels) * nn.VAL_FRACTION))
     perm = rng.permutation(len(labels))
@@ -211,9 +208,9 @@ def train_end_to_end(
     def validate() -> float:
         history["train_acc"].append(sum(hits) / len(tr_idx))
         hits.clear()
-        y = transmit_train(rng, model, surrogate, images[val_idx]).data
-        history["val_acc"].append(float((y.argmax(axis=1) == labels[val_idx]).mean()))
-        return nn.cross_entropy(y, one_hot(labels[val_idx], num_classes))
+        y = transmit_train(rng, model, surrogate, images[val_idx])
+        history["val_acc"].append(float((y.data.argmax(axis=1) == labels[val_idx]).mean()))
+        return float(nn.cross_entropy(y, one_hot(labels[val_idx], num_classes)).data)
 
     nn.train(rng, model.parameters(), len(tr_idx), batch_loss, cfg,
              validate=validate, history=history)

@@ -1,7 +1,7 @@
 """Reference implementations and stand-ins shared by the tests.
 
 The package trains through fused graph nodes (``nn.dense``,
-``nn.cross_entropy``, ``surrogate.mdn_nll``, and the frozen surrogate's
+``nn.cross_entropy``, ``surrogate.mdn_nll``, and the surrogate's
 draw behind ``ChannelSurrogate.sample_tensor``) and builds its dataset with
 a table kernel. Each is bit-identical to a composition of simpler steps,
 and those compositions live here as the references the tests compare

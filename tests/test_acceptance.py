@@ -209,7 +209,7 @@ class TestCriterion4:
             image_shape=(6, 1, 1),
             input_mean=np.zeros(6), input_std=np.ones(6),
         )
-        surr = ChannelSurrogate(net=small_mdn_net(rng, hidden=5)).freeze()
+        surr = ChannelSurrogate(net=small_mdn_net(rng, hidden=5))
         x = rng.uniform(size=(2, 6))
         z = one_hot(np.array([0, 1]), 2)
         frozen = FrozenDraws(rng.integers(0, 2, size=6), rng.standard_normal(6))

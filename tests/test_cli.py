@@ -118,6 +118,14 @@ class TestValidatePhysics:
             assert (tmp_path / "file" / f"capture_link.cfg{suffix}").read_bytes() == \
                    (tmp_path / "builtin" / f"capture_scenario1{suffix}").read_bytes()
 
+    def test_scenario_file_without_times_is_usage_error(self, tmp_path, capsys):
+        # only the built-in scenarios have a default probe grid
+        link = scenario_file(tmp_path / "links" / "link.cfg")
+        out = tmp_path / "out"
+        assert run(["validate-physics", "--scenario", link, "--out", out]) == EXIT_USAGE
+        assert "--times" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_failing_probes_are_named_distinctly(self, tmp_path, capsys, monkeypatch):
         # a stubbed curve that breaches at two probes 0.0004 s apart; the
         # oracle's own curve passes at these sizes
@@ -417,6 +425,23 @@ class TestExitCodes:
                         "--surrogate", pipeline / "surr" / "surrogate.ckpt"]) == EXIT_USAGE
             assert "--lr: must be a positive finite number" in capsys.readouterr().err
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["fit-channel", "sweep"])
+    def test_link_with_more_memory_than_the_surrogate_context_is_usage_error(
+            self, pipeline, tmp_path, capsys, command):
+        # the surrogate's context holds one previous slot, so it cannot learn
+        # a lag-2 link's ISI; the real channel, in eval and sim-sir, draws it
+        link = scenario_file(tmp_path / "links" / "lag2.cfg")
+        link.write_text(link.read_text().replace("memory = 1", "memory = 2"))
+        inputs = {"sweep": ["--data", pipeline / "data", "--n-m-list", 20000]}.get(command, [])
+        out = tmp_path / "out"
+        assert run([command, "--scenario", link, "--out", out, *inputs]) == EXIT_USAGE
+        assert "memory = 2" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert run(["sim-sir", "--scenario", link, "--out", tmp_path / "sir"]) == EXIT_OK
+        assert run(["eval", "--scenario", link, "--out", tmp_path / "eval", "--trials", 1,
+                    "--data", pipeline / "data",
+                    "--model", pipeline / "model" / "semantic.ckpt"]) == EXIT_OK
 
     def test_fractional_budget_in_list_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"

@@ -64,35 +64,48 @@ class TestForward:
         assert np.array_equal(net.forward(x).data, net.forward(x).data)
 
 
+def ce_value(y, z):
+    """Cross-entropy of a batch given as arrays, as a float."""
+    return float(cross_entropy(Tensor(y), z).data)
+
+
 class TestCrossEntropy:
     def test_exact_hit_is_zero(self):
-        z = np.array([0.0, 1.0, 0.0])
-        assert cross_entropy(z, z) == pytest.approx(0.0, abs=1e-9)
+        z = np.array([[0.0, 1.0, 0.0]])
+        assert ce_value(z, z) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_over_four(self):
-        y = np.full(4, 0.25)
-        z = np.array([0.0, 0.0, 1.0, 0.0])
-        assert cross_entropy(y, z) == pytest.approx(LN4, rel=1e-12)
+        y = np.full((1, 4), 0.25)
+        z = np.array([[0.0, 0.0, 1.0, 0.0]])
+        assert ce_value(y, z) == pytest.approx(LN4, rel=1e-12)
 
     def test_scalar_example(self):
-        assert cross_entropy(np.array([0.7, 0.3]), np.array([1.0, 0.0])) == pytest.approx(
+        assert ce_value(np.array([[0.7, 0.3]]), np.array([[1.0, 0.0]])) == pytest.approx(
             0.35667494393873245, rel=1e-12)
 
     def test_rejects_non_one_hot(self):
         with pytest.raises(ValueError, match="one-hot"):
-            cross_entropy(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+            ce_value(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="one-hot"):
-            cross_entropy(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+            ce_value(np.array([[0.5, 0.5]]), np.array([[1.0, 1.0]]))
 
     def test_rejects_unnormalized_prediction(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            cross_entropy(np.array([0.9, 0.3]), np.array([1.0, 0.0]))
+            ce_value(np.array([[0.9, 0.3]]), np.array([[1.0, 0.0]]))
+
+    def test_takes_only_a_batch_tensor(self):
+        y, z = np.array([[0.7, 0.3]]), np.array([[1.0, 0.0]])
+        with pytest.raises(TypeError, match="Tensor"):
+            cross_entropy(y, z)
+        for shape in ((2,), (1, 1, 2)):
+            with pytest.raises(ValueError, match="expected both"):
+                cross_entropy(Tensor(y.reshape(shape)), z.reshape(shape))
 
     def test_batch_mean_matches_singles(self):
         y = np.array([[0.7, 0.3], [0.25, 0.75]])
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        singles = [cross_entropy(y[i], z[i]) for i in range(2)]
-        assert cross_entropy(y, z) == pytest.approx(np.mean(singles), rel=1e-12)
+        singles = [ce_value(y[i:i + 1], z[i:i + 1]) for i in range(2)]
+        assert ce_value(y, z) == pytest.approx(np.mean(singles), rel=1e-12)
 
     def test_duplicating_batch_leaves_mean_reduction_grads_unchanged(self):
         rng = np.random.default_rng(3)
@@ -117,7 +130,7 @@ class TestCrossEntropy:
         """The chain the fused node replaced, kept as the reference."""
         per = ref.mul(ref.tsum(ref.mul(Tensor(z), ref.log(ref.maximum_scalar(y, nn.LOG_EPS))),
                                axis=-1), -1.0)
-        return per if per.data.ndim == 0 else ref.tmean(per)
+        return ref.tmean(per)
 
     @staticmethod
     def _predictions(rng, rows, classes):
@@ -133,14 +146,13 @@ class TestCrossEntropy:
         y = self._predictions(rng, rows or 3, 4)
         z = np.eye(4)[rng.integers(0, 4, size=len(y))]
         z[0] = [0.0, 1.0, 0.0, 0.0]                 # the loss reads the floor, no gradient
-        cases = [(y, z)] if rows else [(y[0], z[0]), (y[2], z[2])]   # None: the 1-D path
+        cases = [(y, z)] if rows else [(y[0:1], z[0:1]), (y[2:3], z[2:3])]   # None: one row
         for (y, z), upstream in itertools.product(cases, (1.0, -3.5)):
             got_y, want_y = Tensor(y.copy(), requires_grad=True), Tensor(y.copy(),
                                                                         requires_grad=True)
             got, want = cross_entropy(got_y, z), self._composed(want_y, z)
             assert got._parents == (got_y,)          # one node
             assert got.data.tobytes() == want.data.tobytes()
-            assert cross_entropy(y, z) == float(want.data)
             ref.mul(got, upstream).backward()
             ref.mul(want, upstream).backward()
             assert got_y.grad.tobytes() == want_y.grad.tobytes()
@@ -159,11 +171,11 @@ class TestCrossEntropy:
     def test_one_hot_check_accepts_what_isin_accepted(self):
         candidates = [[1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [0.5, 0.5], [1.0, 1.0],
                       [np.nan, 1.0], [2.0, -1.0], [np.inf, 0.0], [1.0 + 1e-16, 0.0]]
-        y = np.array([0.5, 0.5])
+        y = np.array([[0.5, 0.5]])
         for z in map(np.array, candidates):
             old_rule = np.isin(z, (0.0, 1.0)).all() and z.sum() == 1.0
             try:
-                cross_entropy(y, z)
+                ce_value(y, z[None])
                 accepted = True
             except ValueError:
                 accepted = False
@@ -367,7 +379,7 @@ class TestFreshGradients:
         # dense, the surrogate draw and cross-entropy
         rng = np.random.default_rng(16)
         model = ref.unstandardized_model(rng, image_shape=(8, 8, 1))
-        surrogate = ChannelSurrogate(net=build_mdn_net(rng)).freeze()
+        surrogate = ChannelSurrogate(net=build_mdn_net(rng))
         images, labels = rng.uniform(size=(12, 64)), rng.integers(0, 4, size=12)
         y = transceiver.transmit_train(rng, model, surrogate, images)
         nn.cross_entropy(y, one_hot(labels, 4)).backward()

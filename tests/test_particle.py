@@ -50,6 +50,8 @@ class TestConfig:
         assert cfg1.record_times == (0.5, 1.0, 1.2585, 2.0, 4.0)
         assert cfg2.record_times == (1.4995, 1.4998, 1.5, 1.5002, 1.5005)
         assert cfg1.n_particles == cfg2.n_particles == 100_000
+        with pytest.raises(ValueError, match="links/a.cfg"):
+            default_sim_config("links/a.cfg")       # no grid but the built-in ones
 
 
 class TestPresence:

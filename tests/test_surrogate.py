@@ -417,7 +417,7 @@ class TestFusedHeads:
             assert same_bytes(got_raw.grad, want_raw.grad)
 
     def test_sample_tensor_context_gradient_matches_composed_ops(self):
-        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(8))).freeze()
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(8)))
         surr.net.biases[-1].data[4] = -16.0
         w = np.random.default_rng(9).uniform(size=(3, 16))
         got_w = Tensor(w, requires_grad=True)
@@ -442,7 +442,7 @@ class TestFrozenDraw:
 
     @staticmethod
     def _surrogate():
-        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(60))).freeze()
+        surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(60)))
         surr.net.biases[-1].data[4] = -16.0         # the log-variance clamp stops some rows
         return surr
 
@@ -466,13 +466,13 @@ class TestFrozenDraw:
             ref.tsum(ref.mul(got, Tensor(weights.reshape(b, k)))).backward()
         finally:
             sys.setswitchinterval(switch)
+        assert all(t.grad is None for t in surr.net.parameters())   # the draw's own backward
         want = sample_surrogate(want_rng, surr.net.forward(want_ctx))
         ref.tsum(ref.mul(want, Tensor(weights))).backward()
         assert got._parents == (got_w,)                 # one node on the frames
         assert same_bytes(got.data, want.data.reshape(b, k))
         assert got_rng.random() == want_rng.random()    # the same draws were spent
         assert same_bytes(got_w.grad, fold_context_grad(want_ctx.grad, b, k))
-        assert all(t.grad is None for t in surr.net.parameters())
 
     def test_second_block_runs_on_a_worker_with_two_cpus(self, monkeypatch):
         ran_on = []
@@ -508,33 +508,27 @@ class TestFrozenDraw:
 
     def test_checks_frozen_net_and_context_width(self):
         surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(65)))
-        with pytest.raises(ValueError, match="frozen"):
-            surr.sample_tensor(Tensor(np.zeros((4, 2))), np.random.default_rng(0))
-        surr.freeze()
         for shape in ((4,), (2, 4, 2)):
             with pytest.raises(ValueError, match="frames"):
                 surr.sample_tensor(Tensor(np.zeros(shape)), np.random.default_rng(0))
 
 
 class TestChannelSurrogate:
-    def test_components_and_frozen_state_come_from_the_net(self, tmp_path):
+    def test_components_come_from_the_net(self, tmp_path):
         surr = ChannelSurrogate(net=build_mdn_net(np.random.default_rng(5)))
-        assert surr.h == 2 and not surr.frozen
-        assert surr.freeze() is surr and surr.frozen
+        assert surr.h == 2
         surr.save(tmp_path / "surrogate.ckpt")
         assert nn.load_checkpoint(tmp_path / "surrogate.ckpt")[2]["h"] == 2   # still written
-        surr.net.weights[0].requires_grad = True
-        assert not surr.frozen
         with pytest.raises(TypeError):
             ChannelSurrogate(net=surr.net, h=2)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         net = build_mdn_net(np.random.default_rng(5))
-        surr = ChannelSurrogate(net=net, channel={"name": "scenario1"}).freeze()
+        surr = ChannelSurrogate(net=net, channel={"name": "scenario1"})
         path = tmp_path / "surrogate.ckpt"
         surr.save(path)
         loaded = ChannelSurrogate.load(path)
-        assert loaded.frozen and loaded.channel == {"name": "scenario1"}
+        assert loaded.channel == {"name": "scenario1"}
         for a, b in zip(surr.net.parameters(), loaded.net.parameters()):
             assert np.array_equal(a.data, b.data)
 
@@ -547,10 +541,10 @@ class TestChannelSurrogate:
                            {"h": 2, "sample_mode": "sample", "temperature": 0.5,
                             "channel": {"scenario": "scenario1"}})
         loaded = ChannelSurrogate.load(path)
-        current = ChannelSurrogate(net=net).freeze()
+        current = ChannelSurrogate(net=net)
         frames = Tensor(np.random.default_rng(6).uniform(size=(2, 8)))
         draws = loaded.sample_tensor(frames, np.random.default_rng(7)).data
-        assert loaded.frozen and loaded.channel == {"scenario": "scenario1"}
+        assert loaded.channel == {"scenario": "scenario1"}
         assert np.array_equal(draws, current.sample_tensor(frames, np.random.default_rng(7)).data)
 
 
@@ -570,7 +564,17 @@ class TestFitChannel:
         reference = build_mdn_net(np.random.default_rng(11))
         for a, b in zip(surr.net.parameters(), reference.parameters()):
             assert np.array_equal(a.data, b.data)
-        assert history["train_nll"] == [] and surr.frozen
+        assert history["train_nll"] == []
+
+    def test_refuses_a_link_with_more_memory_than_the_context(self):
+        # a context holds one previous slot, so a lag-2 link's ISI lies beyond it
+        pairs = generate_pairs(np.random.default_rng(1), S1, 100)
+        for memory in (0, 1):
+            fit_channel(np.random.default_rng(2), with_overrides(S1, memory=memory),
+                        replace(FIT_CONFIG, epochs=0), pairs=pairs)
+        with pytest.raises(ValueError, match="memory = 2"):
+            fit_channel(np.random.default_rng(2), with_overrides(S1, memory=2),
+                        replace(FIT_CONFIG, epochs=0), pairs=pairs)
 
     def test_beats_single_gaussian(self, fitted_surrogate):
         surr, history, pairs = fitted_surrogate
