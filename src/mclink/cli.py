@@ -1,11 +1,15 @@
 """Operator entry point for the molecular link lab.
 
 Stages communicate through files: scenario configs, dataset containers,
-role-tagged checkpoints, and CSV metrics. Every command resolves all of
-its parameters (defaults included), derives its randomness from one
-explicit seed, and echoes everything into ``<out>/manifest.json``; passing
-that manifest back via ``--config`` reproduces the run byte for byte with
-BLAS on one thread (the default).
+role-tagged checkpoints, and CSV metrics. ``main`` resolves every
+parameter of a command (defaults included) from ``FLAGS``, where a flag
+the command cannot run without has the default ``REQUIRED``. The command
+derives its randomness from one explicit seed and returns its run record:
+the exit code, the files it wrote and the input artifacts it read.
+``main`` alone writes that record, with the parameters, the seed and the
+inputs' hashes, to ``<out>/manifest.json``: after an exit of 0 or 3, and
+never after an exception. Passing the manifest back via ``--config``
+reproduces the run byte for byte with BLAS on one thread (the default).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error,
 3 acceptance-tolerance breach.
@@ -96,6 +100,9 @@ COUNT = Count()
 # both trainers hold one row out to validate, so they need two rows
 TRAINABLE = Count(2)
 
+# the default of a flag that a command cannot run without; it sets no value
+REQUIRED = object()
+
 # (name, type, default, help) of each command's flags; ``--n-m`` sets ``n_m``.
 # A flag given explicitly wins over a --config value, which wins over the default.
 SCENARIO = ("scenario", str, "scenario1", "scenario1 | scenario2 | path to a key = value file")
@@ -128,22 +135,22 @@ FLAGS = {
         ("export_pairs", switch, False, "also write the pairs to pairs.csv"),
     ),
     "train": (
-        ("data", str, None, "directory holding train.ds"),
-        ("surrogate", str, None, "channel surrogate checkpoint"),
+        ("data", str, REQUIRED, "directory holding train.ds"),
+        ("surrogate", str, REQUIRED, "channel surrogate checkpoint"),
         ("epochs", COUNT, transceiver.TRAIN_CONFIG.epochs, "maximum epochs"),
         ("batch", COUNT, transceiver.TRAIN_CONFIG.batch_size, "images per batch"),
         ("lr", positive, transceiver.TRAIN_CONFIG.lr, "learning rate"),
     ),
     "eval": (
-        ("model", str, None, "semantic model checkpoint"),
-        ("data", str, None, "directory holding test.ds"),
+        ("model", str, REQUIRED, "semantic model checkpoint"),
+        ("data", str, REQUIRED, "directory holding test.ds"),
         SCENARIO,
         N_M,
         SIGMA_N,
         ("trials", COUNT, 3, "channel noise draws per test image"),
     ),
     "sweep": (
-        ("data", str, None, "directory holding train.ds and test.ds"),
+        ("data", str, REQUIRED, "directory holding train.ds and test.ds"),
         SCENARIO,
         ("n_m_list", str, "100,300,600,1000,1500,2000,4000,20000",
          "comma-separated molecule budgets"),
@@ -153,6 +160,8 @@ FLAGS = {
         ("trials", COUNT, 3, "channel noise draws per test image"),
     ),
 }
+# the columns of metrics.csv and sweep.csv
+ACCURACY_COLUMNS = ("n_m", "method", "accuracy", "ci_low", "ci_high")
 
 
 @contextmanager
@@ -170,12 +179,14 @@ def _resolving():
         raise UsageError(str(err)) from err
 
 
-def _resolve_flags(args) -> tuple[dict, int]:
-    """The command's parameters (with ``out``, created here) and the seed.
+def _resolve_flags(args) -> tuple[dict, int, Path]:
+    """The command's parameters, the seed and the output directory, created here.
 
     ``--config`` holds a plain JSON object or a prior run's manifest. A
-    manifest keeps the seed beside its params; it is merged back in so
-    that the replay draws the same randomness.
+    plain object may name only the command's parameters. A manifest keeps
+    the seed beside its params; it is merged back in so that the replay
+    draws the same randomness, and a parameter it holds that the command
+    no longer takes is passed over, so that older manifests replay.
     """
     config = {}
     if args.config:
@@ -185,13 +196,18 @@ def _resolve_flags(args) -> tuple[dict, int]:
             raise UsageError(f"{args.config}: expected a JSON object of parameters, "
                              f"or a manifest whose \"params\" is one")
         config = dict(config)
-        if "params" in blob and "seed" in blob:
-            config.setdefault("seed", blob["seed"])
+        if "params" in blob:
+            config.setdefault("seed", blob.get("seed"))
+        elif unknown := sorted(set(config) - {row[0] for row in COMMON + FLAGS[args.command]}):
+            raise UsageError(f"{args.config}: {args.command} takes no parameter "
+                             f"{', '.join(map(repr, unknown))}")
 
     def resolve(name, kind, default, _help):
         flag = name.replace("_", "-")
         value = next((v for v in (getattr(args, name), config.get(name), default)
                       if v is not None), None)
+        if value is REQUIRED:
+            raise UsageError(f"--{flag} is required")
         try:
             return None if value is None else kind(value)
         except (TypeError, ValueError) as err:
@@ -201,7 +217,7 @@ def _resolve_flags(args) -> tuple[dict, int]:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)     # before the flags: a rejected run leaves it empty
     params = {row[0]: resolve(*row) for row in FLAGS[args.command]}
-    return {**params, "out": str(out)}, seed
+    return {**params, "out": str(out)}, seed, out
 
 
 def _write_history(path: Path, history: dict) -> None:
@@ -225,6 +241,8 @@ def _dataset(path: Path, training: bool = False) -> dataset.Dataset:
     if not path.exists():
         raise UsageError(f"missing dataset: {path}")
     data = dataset.load_dataset(path)
+    if not len(data):
+        raise UsageError(f"{path} holds no images")
     if training and len(data) < TRAINABLE.minimum:
         raise UsageError(f"{path} holds {len(data)} image(s); training holds one out to "
                          f"validate, so it needs at least {TRAINABLE.minimum}")
@@ -259,7 +277,7 @@ def sweep(seed, train_set, test_set, links, n_pairs, epochs, trials):
                                           n_trials=trials))
 
 
-def cmd_validate_physics(params: dict, seed: int) -> int:
+def cmd_validate_physics(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
         p = _channel_params(params)
         if params["times"] is not None:
@@ -282,32 +300,29 @@ def cmd_validate_physics(params: dict, seed: int) -> int:
                          f"be checked")
 
     curve = particle.empirical_capture_curve(cfg, p)
-    out = Path(params["out"])
     csv_path = out / f"capture_{Path(params['scenario']).name}.csv"
     particle.write_capture_csv(csv_path, curve, cfg, p)
 
     breaches = [t for t, _, _, rel in curve if t in checked and rel > PHYSICS_REL_TOL]
-    runio.write_manifest(out, "validate-physics", params, seed,
-                         outputs=[csv_path.name, csv_path.name + ".meta.json"])
+    outputs = [csv_path.name, csv_path.name + ".meta.json"]
     for t, emp, analytic, rel in curve:
         gate = "checked" if t in checked else "below validity floor"
         print(f"t={t:g}s empirical={emp:.6g} analytic={analytic:.6g} rel_err={rel:.3f} ({gate})")
     if breaches:
         print(f"FAIL: {len(breaches)}/{len(checked)} probe(s) exceed {PHYSICS_REL_TOL:.0%} "
               f"relative error: {[f'{t:g}s' for t in breaches]}")
-        return EXIT_TOLERANCE
+        return EXIT_TOLERANCE, outputs, []
     print(f"PASS: {len(checked)} probe(s) within {PHYSICS_REL_TOL:.0%}")
-    return EXIT_OK
+    return EXIT_OK, outputs, []
 
 
-def cmd_sim_sir(params: dict, seed: int) -> int:
+def cmd_sim_sir(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
         names = channel.scenario_names() if params["scenario"] == "both" else (params["scenario"],)
         links = [(name, _channel_params({**params, "scenario": name})) for name in names]
         for _, p in links:
             if not 0 < params["dt"] < p.slot_s:
                 raise UsageError(f"dt must lie in (0, slot_s={p.slot_s}); got {params['dt']}")
-    out = Path(params["out"])
     outputs = []
     for name, p in links:
         trace = channel.sir_trace(p, [1.0] * params["symbols"], params["dt"])
@@ -317,27 +332,23 @@ def cmd_sim_sir(params: dict, seed: int) -> int:
         # with no noise and no ISI every sample is inf
         peak = max(trace[:, 1][np.isfinite(trace[:, 1])], default=math.inf)
         print(f"{name}: {len(trace)} samples, peak SIR {peak:.2f}")
-    runio.write_manifest(out, "sim-sir", params, seed, outputs=outputs)
-    return EXIT_OK
+    return EXIT_OK, outputs, []
 
 
-def cmd_gen_data(params: dict, seed: int) -> int:
-    out = Path(params["out"])
+def cmd_gen_data(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     train = dataset.make_dataset(runio.derive_rng(seed, "dataset", "train"), params["train_count"])
     test = dataset.make_dataset(runio.derive_rng(seed, "dataset", "test"), params["test_count"])
     dataset.save_dataset(out / "train.ds", train)
     dataset.save_dataset(out / "test.ds", test)
-    runio.write_manifest(out, "gen-data", params, seed, outputs=["train.ds", "test.ds"])
     print(f"wrote {len(train)} train / {len(test)} test samples to {out}")
-    return EXIT_OK
+    return EXIT_OK, ["train.ds", "test.ds"], []
 
 
-def cmd_fit_channel(params: dict, seed: int) -> int:
+def cmd_fit_channel(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
         p = _channel_params(params)
         surrogate.check_memory(p)
         cfg = replace(surrogate.FIT_CONFIG, epochs=params["epochs"])
-    out = Path(params["out"])
     rng = runio.derive_rng(seed, "fit-channel")
     pairs = surrogate.generate_pairs(rng, p, params["pairs"])
     try:
@@ -353,23 +364,19 @@ def cmd_fit_channel(params: dict, seed: int) -> int:
     if params["export_pairs"]:
         surrogate.write_pairs_csv(out / "pairs.csv", pairs)
         outputs.append("pairs.csv")
-    runio.write_manifest(out, "fit-channel", params, seed, outputs=outputs)
     print(f"fitted channel surrogate in {len(history['val_nll'])} epochs "
           f"(stop: {history['stop']}), best validation NLL {min(history['val_nll']):.4f} "
           f"-> {ckpt}")
-    return EXIT_OK
+    return EXIT_OK, outputs, []
 
 
-def cmd_train(params: dict, seed: int) -> int:
+def cmd_train(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
-        if not params["data"] or not params["surrogate"]:
-            raise UsageError("train requires --data <dir from gen-data> and --surrogate <ckpt>")
         train_path = Path(params["data"]) / "train.ds"
         train_set = _dataset(train_path, training=True)
         surr = surrogate.ChannelSurrogate.load(params["surrogate"])
         cfg = replace(transceiver.TRAIN_CONFIG, epochs=params["epochs"],
                       batch_size=params["batch"], lr=params["lr"])
-    out = Path(params["out"])
     try:
         model, history = transceiver.train_end_to_end(
             runio.derive_rng(seed, "train"), train_set, surr, cfg)
@@ -379,21 +386,15 @@ def cmd_train(params: dict, seed: int) -> int:
     _write_history(out / "train_history.csv", history)
     ckpt = out / "semantic.ckpt"
     model.save(ckpt)
-    inputs = {str(train_path): runio.sha256_file(train_path),
-              params["surrogate"]: runio.sha256_file(params["surrogate"])}
-    runio.write_manifest(out, "train", params, seed, inputs=inputs,
-                         outputs=[ckpt.name, "train_history.csv"])
     kept = history["val_loss"].index(min(history["val_loss"]))
     print(f"trained semantic model: {len(history['val_loss'])} epochs "
           f"(stop: {history['stop']}), kept epoch {kept} with val acc "
           f"{history['val_acc'][kept]:.3f} -> {ckpt}")
-    return EXIT_OK
+    return EXIT_OK, [ckpt.name, "train_history.csv"], [train_path, params["surrogate"]]
 
 
-def cmd_eval(params: dict, seed: int) -> int:
+def cmd_eval(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
-        if not params["model"] or not params["data"]:
-            raise UsageError("eval requires --model <semantic ckpt> and --data <dir>")
         test_path = Path(params["data"]) / "test.ds"
         test_set = _dataset(test_path)
         model = transceiver.SemanticModel.load(params["model"])
@@ -407,21 +408,14 @@ def cmd_eval(params: dict, seed: int) -> int:
                              f"decoder has only {model.num_classes} outputs")
     acc, lo, hi = transceiver.evaluate_accuracy(
         runio.derive_rng(seed, "eval"), model, p, test_set, n_trials=params["trials"])
-    out = Path(params["out"])
-    runio.write_csv(out / "metrics.csv",
-                    ["n_m", "method", "accuracy", "ci_low", "ci_high"],
+    runio.write_csv(out / "metrics.csv", ACCURACY_COLUMNS,
                     [(p.max_molecules, "semantic", acc, lo, hi)])
-    inputs = {str(test_path): runio.sha256_file(test_path),
-              params["model"]: runio.sha256_file(params["model"])}
-    runio.write_manifest(out, "eval", params, seed, inputs=inputs, outputs=["metrics.csv"])
     print(f"semantic accuracy at n_m={p.max_molecules}: {acc:.3f} [{lo:.3f}, {hi:.3f}]")
-    return EXIT_OK
+    return EXIT_OK, ["metrics.csv"], [test_path, params["model"]]
 
 
-def cmd_sweep(params: dict, seed: int) -> int:
+def cmd_sweep(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
     with _resolving():
-        if not params["data"]:
-            raise UsageError("sweep requires --data <dir from gen-data>")
         data_dir = Path(params["data"])
         train_path, test_path = data_dir / "train.ds", data_dir / "test.ds"
         train_set = _dataset(train_path, training=True)
@@ -430,6 +424,10 @@ def cmd_sweep(params: dict, seed: int) -> int:
             raise UsageError(f"{train_path} holds {train_set.num_classes} classes and "
                              f"{test_path} {test_set.num_classes}; models trained on it "
                              f"would have too few outputs")
+        for path, data in ((train_path, train_set), (test_path, test_set)):
+            if data.channels != 1:
+                raise UsageError(f"{path} holds {data.channels}-channel images; the "
+                                 f"baseline codes one grayscale channel")
         try:
             budgets = [integral(float(x)) for x in params["n_m_list"].split(",")]
         except ValueError as err:
@@ -444,13 +442,8 @@ def cmd_sweep(params: dict, seed: int) -> int:
         rows += [(n_m, "semantic", acc, lo, hi), (n_m, "baseline", bacc, blo, bhi)]
         print(f"n_m={n_m}: semantic {acc:.3f} [{lo:.3f},{hi:.3f}]  "
               f"baseline {bacc:.3f} [{blo:.3f},{bhi:.3f}]")
-    out = Path(params["out"])
-    runio.write_csv(out / "sweep.csv",
-                    ["n_m", "method", "accuracy", "ci_low", "ci_high"], rows)
-    inputs = {str(train_path): runio.sha256_file(train_path),
-              str(test_path): runio.sha256_file(test_path)}
-    runio.write_manifest(out, "sweep", params, seed, inputs=inputs, outputs=["sweep.csv"])
-    return EXIT_OK
+    runio.write_csv(out / "sweep.csv", ACCURACY_COLUMNS, rows)
+    return EXIT_OK, ["sweep.csv"], [train_path, test_path]
 
 
 COMMANDS = {
@@ -478,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON file or prior manifest supplying parameters")
         # values stay strings here: resolution converts them, whatever their source
         for name, kind, default, text in COMMON + FLAGS[command]:
-            shown = text if default is None else f"{text} (default {default})"
+            shown = (text if default is None else f"{text} (required)" if default is REQUIRED
+                     else f"{text} (default {default})")
             flag = "--" + name.replace("_", "-")
             if kind is switch:
                 sp.add_argument(flag, action="store_const", const=True, help=shown)
@@ -491,8 +485,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with _resolving():
-            params, seed = _resolve_flags(args)
-        return COMMANDS[args.command][0](params, seed)
+            params, seed, out = _resolve_flags(args)
+        code, outputs, inputs = COMMANDS[args.command][0](params, seed, out)
+        runio.write_manifest(out, args.command, params, seed,
+                             {str(path): runio.sha256_file(path) for path in inputs}, outputs)
+        return code
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

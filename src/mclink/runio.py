@@ -74,8 +74,8 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command: str, params: dict, seed: int,
-                   inputs: dict | None = None, outputs: list | None = None) -> Path:
+def write_manifest(out_dir, command: str, params: dict, seed: int, inputs: dict,
+                   outputs: list) -> Path:
     """Echo every resolved parameter so a run is reconstructible.
 
     ``inputs`` maps input artifact paths to their content hashes; outputs
@@ -86,8 +86,8 @@ def write_manifest(out_dir, command: str, params: dict, seed: int,
         "command": command,
         "params": params,
         "seed": int(seed),
-        "inputs": {str(k): v for k, v in (inputs or {}).items()},
-        "outputs": list(outputs or []),
+        "inputs": inputs,
+        "outputs": outputs,
     }
     path = out_dir / "manifest.json"
     write_json(path, manifest)

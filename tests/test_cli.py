@@ -1,5 +1,6 @@
 """CLI pipeline: artifacts, exit codes, manifests, reproducibility."""
 
+import hashlib
 import json
 import os
 import struct
@@ -25,6 +26,10 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the run started its work")
+
+
 def scenario_file(path, name="scenario1"):
     """A key = value file holding a built-in scenario's parameters, in its own directory."""
     path.parent.mkdir(parents=True)
@@ -48,6 +53,25 @@ def pipeline(tmp_path_factory):
                 "--surrogate", surr / "surrogate.ckpt",
                 "--epochs", 6]) == EXIT_OK
     return root
+
+
+@pytest.fixture(scope="module")
+def runs(pipeline, tmp_path_factory):
+    """The output directory of one run of each command, the pipeline's three included."""
+    root = tmp_path_factory.mktemp("runs")
+    runs = {"gen-data": pipeline / "data", "fit-channel": pipeline / "surr",
+            "train": pipeline / "model"}
+    for command, argv in {
+        "validate-physics": FAST_PHYSICS,
+        "sim-sir": ["--dt", 0.05],
+        "eval": ["--model", pipeline / "model" / "semantic.ckpt", "--data", pipeline / "data",
+                 "--trials", 1],
+        "sweep": ["--data", pipeline / "data", "--n-m-list", 20000, "--pairs", 400,
+                  "--epochs", 1, "--trials", 1],
+    }.items():
+        runs[command] = root / command
+        assert run([command, "--out", runs[command], *argv]) == EXIT_OK
+    return runs
 
 
 class TestValidatePhysics:
@@ -81,8 +105,9 @@ class TestValidatePhysics:
         code = run(["validate-physics", "--seed", 5, "--out", tmp_path,
                     "--particles", 5000000, "--times", "0.5"])
         assert code == EXIT_TOLERANCE
-        # the CSV is still written for inspection
+        # the CSV and the manifest are still written for inspection
         assert (tmp_path / "capture_scenario1.csv").exists()
+        assert (tmp_path / "manifest.json").exists()
 
     def test_scenario2_defaults(self, tmp_path):
         code = run(["validate-physics", "--scenario", "scenario2", "--seed", 6,
@@ -268,35 +293,43 @@ class TestArtifactFlow:
                     "--seed", 4, "--out", second]) == EXIT_OK
         assert load_manifest(second / "manifest.json")["seed"] == 4
 
-    def test_manifest_echoes_all_params(self, pipeline, tmp_path):
+    def test_manifest_echoes_all_params(self, pipeline, runs):
         manifest = load_manifest(pipeline / "model" / "manifest.json")
         assert manifest["command"] == "train"
         assert manifest["seed"] == 1
         assert manifest["inputs"]           # dataset + surrogate hashes recorded
-        runs = {"gen-data": pipeline / "data", "fit-channel": pipeline / "surr",
-                "train": pipeline / "model"}
-        for command, argv in {
-            "validate-physics": FAST_PHYSICS,
-            "sim-sir": ["--dt", 0.05],
-            "eval": ["--model", pipeline / "model" / "semantic.ckpt", "--data", pipeline / "data",
-                     "--trials", 1],
-            "sweep": ["--data", pipeline / "data", "--n-m-list", 20000, "--pairs", 400,
-                      "--epochs", 1, "--trials", 1],
-        }.items():
-            runs[command] = tmp_path / command
-            assert run([command, "--out", runs[command], *argv]) == EXIT_OK
         for command, out in runs.items():
             params = load_manifest(out / "manifest.json")["params"]
             assert set(params) == {row[0] for row in FLAGS[command]} | {"out"}, command
 
+    def test_each_command_leaves_one_manifest_of_what_it_wrote_and_read(self, pipeline, runs):
+        read = {"train": [pipeline / "data" / "train.ds", pipeline / "surr" / "surrogate.ckpt"],
+                "eval": [pipeline / "data" / "test.ds", pipeline / "model" / "semantic.ckpt"],
+                "sweep": [pipeline / "data" / "train.ds", pipeline / "data" / "test.ds"]}
+        assert set(runs) == set(FLAGS)
+        for command, out in runs.items():
+            manifest = load_manifest(out / "manifest.json")
+            assert manifest["command"] == command
+            assert sorted(os.listdir(out)) == sorted([*manifest["outputs"], "manifest.json"])
+            assert manifest["inputs"] == {str(path): sha256_file(path)
+                                          for path in read.get(command, [])}, command
+
     def test_help_shows_defaults(self, capsys):
         for command, rows in FLAGS.items():
-            name, _, default, _ = next(row for row in rows if row[2] is not None)
+            name, _, default, _ = next(row for row in rows
+                                       if row[2] is not None and row[2] is not cli.REQUIRED)
+            required = [row[0] for row in rows if row[2] is cli.REQUIRED]
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             text = " ".join(capsys.readouterr().out.split())
-            flag = "--" + name.replace("_", "-")
-            assert f"(default {default})" in text.split(f" {flag} ", 1)[1].split(" --", 1)[0]
+
+            def shown(name):
+                flag = "--" + name.replace("_", "-")
+                return text.split(f" {flag} ", 1)[1].split(" --", 1)[0]
+
+            assert f"(default {default})" in shown(name)
+            for needed in required:
+                assert shown(needed).endswith("(required)"), (command, needed)
 
 
 class TestSweep:
@@ -443,6 +476,76 @@ class TestExitCodes:
                     "--data", pipeline / "data",
                     "--model", pipeline / "model" / "semantic.ckpt"]) == EXIT_OK
 
+    REQUIRED = {"train": ("data", "surrogate"), "eval": ("model", "data"), "sweep": ("data",)}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in REQUIRED.items() for flag in flags])
+    def test_missing_required_flag_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                  command, flag):
+        artifacts = {"data": pipeline / "data", "surrogate": pipeline / "surr" / "surrogate.ckpt",
+                     "model": pipeline / "model" / "semantic.ckpt"}
+        others = {name: str(artifacts[name]) for name in self.REQUIRED[command] if name != flag}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**others, flag: None}))
+        argv = [arg for name, value in others.items() for arg in (f"--{name}", value)]
+        for source, given in (("argv", argv), ("config", ["--config", config])):
+            out = tmp_path / source
+            assert run([command, "--out", out, *given]) == EXIT_USAGE
+            assert f"--{flag} is required" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [{"symbol": 2, "train-count": 3}, {"train_count": 3}],
+                             ids=["misspelt", "of-another-command"])
+    def test_config_key_the_command_does_not_take_is_usage_error(self, tmp_path, capsys,
+                                                                 config):
+        # a misspelt key would otherwise leave its flag at the default unseen;
+        # a manifest's params still replay leniently (test_manifest_with_retired_keys_replays)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["sim-sir", "--config", path, "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and all(repr(key) in err for key in config)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_empty_test_set_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                           command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.ds").write_bytes((pipeline / "data" / "train.ds").read_bytes())
+        save_dataset(data / "test.ds", Dataset(images=np.zeros((0, 256)),
+                                               labels=np.zeros(0, dtype=int)))
+        monkeypatch.setattr(baseline, "train_baseline_classifier", must_not_run)
+        inputs = {"eval": ["--model", pipeline / "model" / "semantic.ckpt"],
+                  "sweep": ["--n-m-list", 20000]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--out", out, "--data", data, *inputs]) == EXIT_USAGE
+        assert f"{data / 'test.ds'} holds no images" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_on_multichannel_images_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                         monkeypatch):
+        # the baseline codes one grayscale channel; the semantic model takes any
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train.ds", "test.ds"):
+            save_dataset(data / name, Dataset(images=rng.random((40, 16 * 16 * 3)),
+                                              labels=np.arange(40) % 4, channels=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(baseline, "train_baseline_classifier", must_not_run)
+            out = tmp_path / "out"
+            assert run(["sweep", "--out", out, "--data", data, "--n-m-list", 20000]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"{data / 'train.ds'} holds 3-channel images" in err
+            assert list(out.iterdir()) == []
+        model = tmp_path / "model"
+        assert run(["train", "--out", model, "--data", data, "--epochs", 1,
+                    "--surrogate", pipeline / "surr" / "surrogate.ckpt"]) == EXIT_OK
+        assert run(["eval", "--out", tmp_path / "eval", "--data", data, "--trials", 1,
+                    "--model", model / "semantic.ckpt"]) == EXIT_OK
+
     def test_fractional_budget_in_list_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
         assert run(["sweep", "--data", pipeline / "data", "--n-m-list", "20000,100.5",
@@ -561,11 +664,7 @@ class TestExitCodes:
                                                              monkeypatch):
         data = tmp_path / "data"
         assert run(["gen-data", "--out", data, "--train-count", 3, "--test-count", 8]) == EXIT_OK
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a surrogate was fitted")
-
-        monkeypatch.setattr(surrogate, "fit_channel", no_fit)
+        monkeypatch.setattr(surrogate, "fit_channel", must_not_run)
         out = tmp_path / "out"
         assert run(["sweep", "--out", out, "--data", data, "--n-m-list", 20000,
                     "--pairs", 100, "--epochs", 1, "--trials", 1]) == EXIT_USAGE
@@ -621,6 +720,7 @@ class TestExitCodes:
         assert "training failed" in capsys.readouterr().err
         rows = (out / csv).read_text().splitlines()
         assert len(rows) == 2 and rows[1].startswith("0,")     # the one complete epoch
+        assert not (out / "manifest.json").exists()
 
     def test_baseline_runtime_error_is_runtime_failure(self, pipeline, tmp_path,
                                                        monkeypatch, capsys):
@@ -647,13 +747,31 @@ class TestOutputBytes:
         "fit/pairs.csv": "3098129d8daaf1b4ed1c30f3a75ec8a34421122b74455ca92a40267bac7c0848",
     }
 
-    def test_fixed_seed_outputs_keep_their_sha256(self, tmp_path):
-        assert run(["gen-data", "--seed", 3, "--out", tmp_path / "data",
+    # the manifests, with the output root written as <tmp>
+    MANIFEST_SHA256 = {
+        "data/manifest.json": "84422f417177339cc97cf621b34b08dbd365d69acba809f096e757efd1cf939d",
+        "sir/manifest.json": "85ca7dbef9aaabc71073fee2a5f43b26fddd2ee712f4259792eb07afa88822dc",
+        "fit/manifest.json": "411c120692b834f860012bfee39132767c025e198b73f48aae4b008f4a2ae848",
+    }
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bytes")
+        assert run(["gen-data", "--seed", 3, "--out", root / "data",
                     "--train-count", 600, "--test-count", 200]) == EXIT_OK
-        assert run(["sim-sir", "--seed", 3, "--out", tmp_path / "sir"]) == EXIT_OK
-        assert run(["fit-channel", "--seed", 3, "--out", tmp_path / "fit", "--n-m", 1000,
+        assert run(["sim-sir", "--seed", 3, "--out", root / "sir"]) == EXIT_OK
+        assert run(["fit-channel", "--seed", 3, "--out", root / "fit", "--n-m", 1000,
                     "--pairs", 3000, "--epochs", 1, "--export-pairs"]) == EXIT_OK
-        assert {name: sha256_file(tmp_path / name) for name in self.SHA256} == self.SHA256
+        return root
+
+    def test_fixed_seed_outputs_keep_their_sha256(self, root):
+        assert {name: sha256_file(root / name) for name in self.SHA256} == self.SHA256
+
+    def test_manifests_keep_their_bytes(self, root):
+        # pins the run record; a deliberate change to the manifest updates these
+        digests = {name: hashlib.sha256((root / name).read_bytes().replace(
+            str(root).encode(), b"<tmp>")).hexdigest() for name in self.MANIFEST_SHA256}
+        assert digests == self.MANIFEST_SHA256
 
 
 class TestModuleEntry:
