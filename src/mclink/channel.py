@@ -14,9 +14,10 @@ integrated over the (small) receiver volume:
     V_r  = 4 pi r^3 / 3.
 
 Counts are Binomial(n_released, P(t)), taken Gaussian when the expected
-count is large. A slot observation adds the residue of the previous
-``memory`` slots (inter-symbol interference) and additive Gaussian counting
-noise, clamped at zero.
+count is large. ``observe_frames`` observes each slot of a frame: its
+count adds the residue of the previous ``memory`` slots (inter-symbol
+interference) and additive Gaussian counting noise, clamped at zero.
+``observe_slot`` is the benchmark's scalar draw of one slot.
 
 All operations are pure; randomness enters only through an explicitly
 supplied ``numpy.random.Generator``.
@@ -185,6 +186,16 @@ def peak_time(p: ChannelParams) -> float:
     return (disc - 6.0 * d) / (2.0 * v * v)
 
 
+def check_observable(p: ChannelParams) -> float:
+    """P at the observation instant, which normalizes every received symbol;
+    refuses a link where it is 0 or, in :func:`capture_probability`, above 1."""
+    t = p.observation_time()
+    prob = capture_probability(p, t)
+    if prob == 0.0:
+        raise ValueError(f"the link captures nothing at its observation instant t = {t:g} s")
+    return prob
+
+
 def count_moments(p: ChannelParams, w: float, t: float) -> tuple[float, float]:
     """Mean and variance of the received count for release fraction w at time t.
 
@@ -201,31 +212,11 @@ def count_moments(p: ChannelParams, w: float, t: float) -> tuple[float, float]:
     return mean, mean * (1.0 - prob)
 
 
-def sample_count(rng: np.random.Generator, p: ChannelParams, w: float, t: float) -> float:
-    """Draw one received count for release fraction w observed at time t.
-
-    Exact binomial below GAUSSIAN_COUNT_THRESHOLD expected molecules,
-    Gaussian approximation (clamped at zero) above.
-    """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"release fraction {w} outside [0, 1]")
-    n_released = round(w * p.max_molecules)
-    if n_released == 0:
-        return 0.0
-    prob = capture_probability(p, t)
-    mean = n_released * prob
-    if mean < GAUSSIAN_COUNT_THRESHOLD:
-        return float(rng.binomial(n_released, prob))
-    std = math.sqrt(mean * (1.0 - prob))
-    return max(0.0, mean + std * rng.standard_normal())
-
-
 @dataclass(frozen=True)
 class SlotObservation:
-    """One receiver observation: raw count and the normalized symbol."""
+    """One scalar receiver observation."""
 
     count: float        # observed molecules, >= 0
-    w_rx: float         # count / (max_molecules * P(t)), the normalized symbol
 
 
 def observe_slot(
@@ -237,24 +228,32 @@ def observe_slot(
 ) -> SlotObservation:
     """Observe one slot: current release + ISI from prior slots + noise.
 
-    ``w_prev_window`` lists the release fractions of the preceding slots,
-    most recent first; it may be shorter than the channel memory (frame
-    start), in which case the missing entries are silent. ``t`` is the
-    in-slot observation instant and defaults to the configured one.
+    The benchmark's scalar draw. ``w_prev_window`` lists the release
+    fractions of the preceding slots, most recent first; it may be shorter
+    than the channel memory (frame start), in which case the missing entries
+    are silent. ``t`` is the in-slot observation instant and defaults to the
+    configured one.
     """
     if t is None:
         t = p.observation_time()
     if not 0 < t <= p.slot_s:
         raise ValueError(f"observation instant {t} outside (0, slot_s]")
-    window = [float(v) for v in w_prev_window][: p.memory]
-    count = sample_count(rng, p, w_curr, t)
-    for i, w_past in enumerate(window, start=1):
-        count += sample_count(rng, p, w_past, t + i * p.slot_s)
+    count = 0.0
+    for i, w in enumerate([w_curr, *[float(v) for v in w_prev_window][: p.memory]]):
+        if not 0.0 <= w <= 1.0:
+            raise ValueError(f"release fraction {w} outside [0, 1]")
+        n_released = round(w * p.max_molecules)
+        if n_released == 0:
+            continue
+        prob = capture_probability(p, t + i * p.slot_s)
+        mean = n_released * prob
+        if mean < GAUSSIAN_COUNT_THRESHOLD:
+            count += float(rng.binomial(n_released, prob))
+        else:
+            count += max(0.0, mean + math.sqrt(mean * (1.0 - prob)) * rng.standard_normal())
     if p.noise_std > 0:
         count += p.noise_std * rng.standard_normal()
-    count = max(0.0, count)
-    w_rx = count / (p.max_molecules * capture_probability(p, t))
-    return SlotObservation(count=count, w_rx=w_rx)
+    return SlotObservation(count=max(0.0, count))
 
 
 def normalized_slot_moments(p: ChannelParams, w_curr: float, w_prev_window) -> tuple[float, float]:
@@ -271,21 +270,23 @@ def normalized_slot_moments(p: ChannelParams, w_curr: float, w_prev_window) -> t
         mean += m_i
         var += v_i
     var += p.noise_std ** 2
-    scale = p.max_molecules * capture_probability(p, t)
+    scale = p.max_molecules * check_observable(p)
     return mean / scale, var / (scale * scale)
 
 
 def observe_frames(rng: np.random.Generator, p: ChannelParams, frames: np.ndarray) -> np.ndarray:
     """Transmit a (B, k) array of frames over consecutive slots.
 
-    Every slot is observed at ``p.observation_time()``. Each row is one
-    frame whose first symbol follows silent slots; slot j of a row has the
-    law of ``observe_slot`` for that symbol with the preceding ones as its
-    ISI window. Returns the (B, k) array of normalized received symbols.
-    Each released batch draws only the branch it takes: a binomial where
-    0 < mean < GAUSSIAN_COUNT_THRESHOLD, a normal where the mean is at or
-    above it, nothing where it is zero. The draws come in a different order
-    than the scalar path's, so the two give different streams.
+    Each row is one frame whose first symbol follows silent slots. Slot j
+    of a row, observed at t = ``p.observation_time()``, counts its release
+    and the up to ``memory`` before it in the row (ISI), the one i slots
+    earlier as Binomial(round(w * max_molecules), P(t + i * slot_s)), plus
+    Gaussian noise, clamped at zero; its symbol is that count over
+    ``max_molecules * P(t)`` (see :func:`check_observable`). Each released
+    batch draws only the branch it takes: a binomial where 0 < mean <
+    GAUSSIAN_COUNT_THRESHOLD, a normal where the mean is at or above it,
+    nothing where it is zero. ``observe_slot``, the benchmark's scalar
+    draw, has the same law but draws in another order.
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim != 2:
@@ -296,7 +297,8 @@ def observe_frames(rng: np.random.Generator, p: ChannelParams, frames: np.ndarra
     batch, k = frames.shape
     # only lags shorter than the frame reach a slot of it
     lags = min(p.memory, max(k - 1, 0))
-    probs = [capture_probability(p, t + i * p.slot_s) for i in range(lags + 1)]
+    probs = [check_observable(p), *(capture_probability(p, t + i * p.slot_s)
+                                    for i in range(1, lags + 1))]
     counts = np.zeros((batch, k))
     for i, prob in enumerate(probs):
         # contribution of the slot released i slots before the observed one

@@ -249,6 +249,13 @@ def _dataset(path: Path, training: bool = False) -> dataset.Dataset:
     return data
 
 
+def _check_images(path: Path, data: dataset.Dataset, expected: tuple, source: str) -> None:
+    """Refuse a dataset whose (height, width, channels) differ from ``source``'s ``expected``."""
+    shape = (data.height, data.width, data.channels)
+    if shape != expected:
+        raise UsageError(f"{path} holds {shape} images; {source} expects {expected}")
+
+
 def sweep(seed, train_set, test_set, links, n_pairs, epochs, trials):
     """Semantic and baseline accuracy at each molecule budget, in the order of ``links``.
 
@@ -348,6 +355,7 @@ def cmd_fit_channel(params: dict, seed: int, out: Path) -> tuple[int, list, list
     with _resolving():
         p = _channel_params(params)
         surrogate.check_memory(p)
+        channel.check_observable(p)
         cfg = replace(surrogate.FIT_CONFIG, epochs=params["epochs"])
     rng = runio.derive_rng(seed, "fit-channel")
     pairs = surrogate.generate_pairs(rng, p, params["pairs"])
@@ -399,10 +407,8 @@ def cmd_eval(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
         test_set = _dataset(test_path)
         model = transceiver.SemanticModel.load(params["model"])
         p = _channel_params(params)
-        shape = (test_set.height, test_set.width, test_set.channels)
-        if shape != model.image_shape:
-            raise UsageError(f"{test_path} holds {shape} images; the model expects "
-                             f"{model.image_shape}")
+        channel.check_observable(p)
+        _check_images(test_path, test_set, model.image_shape, "the model")
         if model.num_classes < test_set.num_classes:
             raise UsageError(f"{test_path} holds {test_set.num_classes} classes; the model "
                              f"decoder has only {model.num_classes} outputs")
@@ -424,10 +430,15 @@ def cmd_sweep(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
             raise UsageError(f"{train_path} holds {train_set.num_classes} classes and "
                              f"{test_path} {test_set.num_classes}; models trained on it "
                              f"would have too few outputs")
-        for path, data in ((train_path, train_set), (test_path, test_set)):
-            if data.channels != 1:
-                raise UsageError(f"{path} holds {data.channels}-channel images; the "
-                                 f"baseline codes one grayscale channel")
+        train_shape = (train_set.height, train_set.width, train_set.channels)
+        _check_images(test_path, test_set, train_shape, f"a model trained on {train_path}")
+        if train_set.channels != 1:
+            raise UsageError(f"{train_path} holds {train_set.channels}-channel images; the "
+                             f"baseline codes one grayscale channel")
+        try:    # the baseline's codec blocks must tile the images
+            baseline.source_bit_count((train_set.height, train_set.width))
+        except ValueError as err:
+            raise UsageError(f"{train_path}: {err}") from err
         try:
             budgets = [integral(float(x)) for x in params["n_m_list"].split(",")]
         except ValueError as err:
@@ -435,6 +446,7 @@ def cmd_sweep(params: dict, seed: int, out: Path) -> tuple[int, list, list]:
         links = [(n_m, _channel_params({**params, "n_m": n_m})) for n_m in budgets]
         for _, p in links:
             surrogate.check_memory(p)
+            channel.check_observable(p)
 
     rows = []
     for n_m, (acc, lo, hi), (bacc, blo, bhi) in sweep(

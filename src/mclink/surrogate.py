@@ -60,9 +60,10 @@ def generate_pairs(
     """Uniformly random contexts pushed through the real channel.
 
     Returns (contexts, w_rx): an (n, 2) array of (w_curr, w_prev) rows and
-    the n received symbols. Each context is sent as the two-slot frame
-    [w_prev, w_curr]; its second slot has exactly the law of
-    ``observe_slot(w_curr, [w_prev])`` at any channel memory.
+    the n received symbols. Each context is sent through ``observe_frames``
+    as the two-slot frame [w_prev, w_curr], and its symbol is the second
+    slot's: the current release with the previous one as its only ISI, at
+    any channel memory.
     """
     if n < 1:
         raise ValueError("need at least one pair")

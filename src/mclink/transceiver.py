@@ -249,12 +249,8 @@ def trial_accuracy(
         return sum(int((predict(np.random.default_rng(int(seed))) == test_set.labels).sum())
                    for seed in seeds)
 
-    workers = min(n_trials, nn.usable_cpus())
-    if workers == 1:    # no split: its cost shows on short one-trial calls
-        correct = count(trial_seeds)
-    else:
-        shares = np.array_split(trial_seeds, workers)
-        correct = sum(nn.run_concurrently([partial(count, share) for share in shares]))
+    shares = np.array_split(trial_seeds, min(n_trials, nn.usable_cpus()))
+    correct = sum(nn.run_concurrently([partial(count, share) for share in shares]))
     total = n_trials * len(test_set)
     lo, hi = wilson_interval(correct, total)
     return correct / total, lo, hi

@@ -1,5 +1,6 @@
 """Channel physics: capture probability, count statistics, ISI, SIR."""
 
+import hashlib
 import math
 from dataclasses import fields
 
@@ -11,12 +12,12 @@ from mclink.channel import (
     ChannelParams,
     InvalidApproximationError,
     capture_probability,
+    check_observable,
     count_moments,
     normalized_slot_moments,
     observe_frames,
     observe_slot,
     peak_time,
-    sample_count,
     scenario,
     sir_at,
     sir_trace,
@@ -190,14 +191,22 @@ class TestCountMoments:
 
 
 class TestSampleCount:
+    """The count of one release: ``observe_slot`` on a memory-0, noiseless
+    link with an empty window draws that alone."""
+
+    BARE = with_overrides(S1, noise_std=0.0, memory=0)
+
+    def count(self, rng, p, w):
+        return observe_slot(rng, p, w, [], 1.0).count
+
     def test_zero_release_always_zero(self):
         rng = np.random.default_rng(0)
-        assert all(sample_count(rng, S1, 0.0, 1.0) == 0.0 for _ in range(50))
+        assert all(self.count(rng, self.BARE, 0.0) == 0.0 for _ in range(50))
 
     def test_moments_match_analytic(self):
         rng = np.random.default_rng(7)
         n = 20_000
-        draws = np.array([sample_count(rng, S1, 1.0, 1.0) for _ in range(n)])
+        draws = np.array([self.count(rng, self.BARE, 1.0) for _ in range(n)])
         se_mean = math.sqrt(S1_VAR_W1_T1 / n)
         assert abs(draws.mean() - S1_MEAN_W1_T1) < 3 * se_mean
         se_var = S1_VAR_W1_T1 * math.sqrt(2.0 / (n - 1))
@@ -205,8 +214,8 @@ class TestSampleCount:
 
     def test_binomial_branch_used_for_small_counts(self):
         rng = np.random.default_rng(3)
-        tiny = with_overrides(S1, max_molecules=100)   # mean ~ 1.5 molecules
-        draws = np.array([sample_count(rng, tiny, 1.0, 1.0) for _ in range(20_000)])
+        tiny = with_overrides(self.BARE, max_molecules=100)   # mean ~ 1.5 molecules
+        draws = np.array([self.count(rng, tiny, 1.0) for _ in range(20_000)])
         assert np.allclose(draws, np.round(draws))     # integer-valued
         mean = 100 * P1_AT_1
         assert abs(draws.mean() - mean) < 3 * math.sqrt(mean / 20_000)
@@ -214,14 +223,14 @@ class TestSampleCount:
     def test_degenerate_capture_probability(self, monkeypatch):
         monkeypatch.setattr(channel, "capture_probability", lambda p, t: 1.0)
         rng = np.random.default_rng(0)
-        assert sample_count(rng, S1, 0.5, 1.0) == round(0.5 * S1.max_molecules)
+        assert self.count(rng, self.BARE, 0.5) == round(0.5 * S1.max_molecules)
 
 
 class TestObserveSlot:
     def test_all_silent_is_zero(self):
         quiet = with_overrides(S1, noise_std=0.0)
         obs = observe_slot(np.random.default_rng(0), quiet, 0.0, [0.0])
-        assert obs.count == 0.0 and obs.w_rx == 0.0
+        assert obs.count == 0.0
 
     def test_mean_count_with_isi(self):
         quiet = with_overrides(S1, noise_std=0.0)
@@ -252,31 +261,43 @@ class TestObserveSlot:
         with pytest.raises(ValueError):
             observe_slot(np.random.default_rng(0), S1, 1.0, [0.0], t=5.0)
 
-    def test_reduces_to_sample_count_without_isi_and_noise(self):
-        bare = with_overrides(S1, noise_std=0.0, memory=0)
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        n = 10_000
-        a = np.array([observe_slot(rng_a, bare, 0.8, [], 1.0).count for _ in range(n)])
-        b = np.array([sample_count(rng_b, bare, 0.8, 1.0) for _ in range(n)])
-        assert np.array_equal(a, b)    # identical draws, not just equal moments
+    def test_counts_keep_their_bytes(self):
+        # the benchmark's slot draws are this stream: the hash was recorded
+        # before the per-release sampler was folded into observe_slot
+        links = [
+            (with_overrides(S1, noise_std=0.0, memory=0), 1.0, [], 1.0),      # C2's set-up
+            (S1, 0.7, [0.4], None),
+            (S2, 1.0, [1.0], None),
+            (with_overrides(S1, max_molecules=100), 0.9, [0.6], 1.0),         # binomial branch
+            (with_overrides(S1, memory=3), 0.6, [1.0, 0.3, 0.8, 0.9, 0.5], None),  # cut to 3
+            (with_overrides(S1, noise_std=500.0), 0.2, [0.0], 3.0),           # the clamp
+        ]
+        rng = np.random.default_rng(26)
+        counts = np.array([observe_slot(rng, p, w, window, t).count
+                           for p, w, window, t in links for _ in range(3000)])
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+            "8015e848b30df97c4c918895b888a31e64a24177f003c75185f34e95fc463397")
 
-    def test_w_rx_normalization(self):
-        obs = observe_slot(np.random.default_rng(5), S1, 1.0, [1.0])
-        t = S1.observation_time()
-        assert obs.w_rx == pytest.approx(
-            obs.count / (S1.max_molecules * capture_probability(S1, t)), rel=1e-12)
 
+class TestObserveFrames:
     def test_normalized_moments_match_monte_carlo(self):
         rng = np.random.default_rng(21)
         n = 20_000
-        w_rx = np.array([observe_slot(rng, S1, 0.7, [0.4]).w_rx for _ in range(n)])
+        w_rx = observe_frames(rng, S1, np.tile([[0.4, 0.7]], (n, 1)))[:, 1]
         mean, var = normalized_slot_moments(S1, 0.7, [0.4])
         assert abs(w_rx.mean() - mean) < 3 * math.sqrt(var / n)
         assert abs(w_rx.var(ddof=1) - var) < 4 * var * math.sqrt(2.0 / n)
 
+    def test_refuses_a_link_that_captures_nothing_at_its_observation_instant(self):
+        # scenario2's molecules arrive at 1.5 s, so a 1 s slot observes none
+        short = with_overrides(S2, slot_s=1.0)
+        for refused in (lambda: check_observable(short),
+                        lambda: observe_frames(np.random.default_rng(0), short, np.ones((2, 3))),
+                        lambda: normalized_slot_moments(short, 1.0, [])):
+            with pytest.raises(ValueError, match="observation instant t = 1 s"):
+                refused()
+        assert check_observable(S2) == capture_probability(S2, S2.observation_time())
 
-class TestObserveFrames:
     def test_matches_scalar_path_statistics(self):
         rng = np.random.default_rng(31)
         frames = np.tile([[1.0, 0.25, 0.75]], (4000, 1))

@@ -476,6 +476,31 @@ class TestExitCodes:
                     "--data", pipeline / "data",
                     "--model", pipeline / "model" / "semantic.ckpt"]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["eval", "fit-channel", "sweep"])
+    def test_link_unobservable_at_its_observation_instant_is_usage_error(
+            self, pipeline, tmp_path, capsys, monkeypatch, command):
+        # every symbol is normalized by P at the observation instant: scenario2's
+        # molecules arrive at 1.5 s, so a 1 s slot sees P = 0 there and would
+        # give 0/0 symbols; the overdriven link's P exceeds 1 there
+        silent = scenario_file(tmp_path / "links" / "silent.cfg", "scenario2")
+        silent.write_text(silent.read_text().replace("slot_s = 3.0", "slot_s = 1.0"))
+        overdriven = tmp_path / "links" / "overdriven.cfg"
+        overdriven.write_text(self.OVERDRIVEN)
+        monkeypatch.setattr(baseline, "train_baseline_classifier", must_not_run)
+        inputs = {"eval": ["--data", pipeline / "data",
+                           "--model", pipeline / "model" / "semantic.ckpt"],
+                  "sweep": ["--data", pipeline / "data", "--n-m-list", 20000]}.get(command, [])
+        for link, reason in ((silent, "nothing at its observation instant t = 1 s"),
+                             (overdriven, "capture probability")):
+            out = tmp_path / link.stem
+            assert run([command, "--scenario", link, "--out", out, *inputs]) == EXIT_USAGE
+            assert reason in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+        # the SIR trace and the particle oracle observe at other instants
+        assert run(["sim-sir", "--scenario", silent, "--out", tmp_path / "sir"]) == EXIT_OK
+        assert run(["validate-physics", "--scenario", silent, "--out", tmp_path / "physics",
+                    "--particles", 20000, "--times", 1.5]) in (EXIT_OK, EXIT_TOLERANCE)
+
     REQUIRED = {"train": ("data", "surrogate"), "eval": ("model", "data"), "sweep": ("data",)}
 
     @pytest.mark.parametrize("command, flag", [
@@ -545,6 +570,35 @@ class TestExitCodes:
                     "--surrogate", pipeline / "surr" / "surrogate.ckpt"]) == EXIT_OK
         assert run(["eval", "--out", tmp_path / "eval", "--data", data, "--trials", 1,
                     "--model", model / "semantic.ckpt"]) == EXIT_OK
+
+    def test_sweep_on_test_images_of_another_shape_is_usage_error(self, pipeline, tmp_path,
+                                                                  capsys, monkeypatch):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.ds").write_bytes((pipeline / "data" / "train.ds").read_bytes())
+        save_dataset(data / "test.ds", Dataset(images=np.zeros((8, 64)), labels=np.arange(8) % 4,
+                                               height=8, width=8))
+        monkeypatch.setattr(baseline, "train_baseline_classifier", must_not_run)
+        out = tmp_path / "out"
+        assert run(["sweep", "--out", out, "--data", data, "--n-m-list", 20000]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{data / 'test.ds'} holds (8, 8, 1) images" in err and "(16, 16, 1)" in err
+        assert list(out.iterdir()) == []
+
+    def test_sweep_on_images_the_baseline_blocks_do_not_tile_is_usage_error(
+            self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train.ds", "test.ds"):
+            save_dataset(data / name, Dataset(images=rng.random((40, 100)),
+                                              labels=np.arange(40) % 4, height=10, width=10))
+        monkeypatch.setattr(baseline, "train_baseline_classifier", must_not_run)
+        out = tmp_path / "out"
+        assert run(["sweep", "--out", out, "--data", data, "--n-m-list", 20000]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(data / "train.ds") in err and f"factor {baseline.DOWNSAMPLE}" in err
+        assert list(out.iterdir()) == []
 
     def test_fractional_budget_in_list_is_usage_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "out"
@@ -683,8 +737,11 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     def test_invalid_approximation_mid_run_is_runtime_failure(self, tmp_path, capsys):
+        # P(t) is below 1 at the 5 ms observation instant and above it a slot
+        # later, where the previous slot's release is counted
         link = tmp_path / "link.txt"
-        link.write_text(self.OVERDRIVEN)
+        link.write_text(self.OVERDRIVEN.replace("slot_s = 1\n", "slot_s = 0.005\n")
+                        .replace("diffusion_um2_s = 1\n", "diffusion_um2_s = 1000\n"))
         code = run(["fit-channel", "--out", tmp_path / "fit", "--scenario", link,
                     "--pairs", 10, "--epochs", 1])
         assert code == EXIT_RUNTIME
