@@ -14,13 +14,15 @@ Each codec step (``source_encode``, ``channel_encode``, ``ook_transmit``,
 bitstreams (B, n) and returns one, so a batch of images runs through the
 pipeline as one chain of array operations. The transmit side
 draws no randomness, so an evaluation source- and channel-codes the test
-set once; each noise trial then draws only the OOK channel and runs only
-the receiver, on its own generator and concurrently with the other trials
-(see :func:`mclink.transceiver.trial_accuracy`).
+set once; each noise trial then draws only the OOK channel, over the whole
+set, and runs only the receiver, on its own generator and concurrently with
+the other trials (see :func:`mclink.transceiver.trial_accuracy`). The
+receiver's classifier infers in row blocks (:func:`mclink.nn.row_blocks`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,7 @@ def source_encode(images: np.ndarray, image_shape=(16, 16)) -> np.ndarray:
     """Downsample by block mean and quantize to one bit per block, round(mean)."""
     rows, cols = _source_grid(image_shape)
     img = np.asarray(images, dtype=float)
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):      # NaN fails both
         raise ValueError("pixel values must lie in [0, 1]")
     small = img.reshape(len(img), rows, DOWNSAMPLE, cols, DOWNSAMPLE).mean(axis=(2, 4))
     return np.round(small).astype(np.uint8).reshape(len(img), -1)
@@ -121,8 +123,11 @@ class BaselineClassifier:
     input_std: np.ndarray
 
     def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        x = (images - self.input_mean) / self.input_std
-        return self.net.forward(Tensor(x)).data
+        """Class probabilities, standardized and run through the net in row blocks."""
+        n = len(images)
+        return np.concatenate([
+            self.net.forward(Tensor((images[rows] - self.input_mean) / self.input_std)).data
+            for rows in nn.row_blocks(n, math.ceil(n / nn.ROW_BLOCK))])
 
 
 def clean_reconstructions(images: np.ndarray, image_shape=(16, 16)) -> np.ndarray:

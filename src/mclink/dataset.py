@@ -11,7 +11,7 @@ Container layout (all little-endian):
     version uint32
     H, W, C uint32 each
     count   uint32
-    pixels  count*H*W*C float32, row-major
+    pixels  count*H*W*C float32 in [0, 1], row-major
     labels  count uint8
 """
 
@@ -97,7 +97,7 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 class DatasetFormatError(ValueError):
-    """Bad magic, version, or a truncated or overlong dataset container."""
+    """Bad magic, version or pixels, or a truncated or overlong dataset container."""
 
 
 def save_dataset(path, ds: Dataset) -> None:
@@ -129,8 +129,10 @@ def load_dataset(path) -> Dataset:
         extra = len(fh.read())
         if extra:
             raise DatasetFormatError(f"{path}: {extra} byte(s) after the labels")
-    images = np.frombuffer(pixels, dtype="<f4").astype(float).reshape(
-        count, height * width * channels)
+    pixels = np.frombuffer(pixels, dtype="<f4")
+    if pixels.size and not (pixels.min() >= 0.0 and pixels.max() <= 1.0):   # NaN fails both
+        raise DatasetFormatError(f"{path}: pixel values must be finite and lie in [0, 1]")
+    images = pixels.astype(float).reshape(count, height * width * channels)
     return Dataset(images=images,
                    labels=np.frombuffer(labels, dtype=np.uint8).astype(np.int64),
                    height=height, width=width, channels=channels)

@@ -161,15 +161,6 @@ def mdn_nll(net: DenseNet, pairs: tuple[np.ndarray, np.ndarray]) -> Tensor:
     return Tensor(loss, requires_grad=raw.requires_grad, parents=(raw,), backward_fn=backward_fn)
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """The frozen draw's two fixed row blocks, the empty one dropped. A
-    batch of under four rows is one block: a one-row block would take
-    numpy's vector product, whose sums may round otherwise than the matrix
-    product the whole batch takes."""
-    cut = (n + 1) // 2 if n >= 4 else n
-    return [rows for rows in (slice(0, cut), slice(cut, n)) if rows.stop > rows.start]
-
-
 def _frozen_draw(net: DenseNet, w: Tensor, rng: np.random.Generator) -> Tensor:
     """Reparameterized draw from the net's mixtures for (B, k) release
     frames, one received symbol per slot, as one graph node on ``w``.
@@ -178,10 +169,11 @@ def _frozen_draw(net: DenseNet, w: Tensor, rng: np.random.Generator) -> Tensor:
     B*k rows run frame-major. ``rng.random`` picks each row's component from
     pi, treated as a constant, then ``rng.standard_normal`` gives its eps;
     the draw is mu + sqrt(sigma2) * eps of that component. The net runs
-    ``dense``'s arithmetic layer by layer on two fixed row blocks, the
-    second on the shared worker pool (:func:`nn.run_concurrently`); backward
-    runs each block down to the first layer's activation, and that layer's
-    input product once on all rows, since its sums round by the row count.
+    ``dense``'s arithmetic layer by layer on two row blocks
+    (:func:`nn.row_blocks`), the second on the shared worker pool
+    (:func:`nn.run_concurrently`); backward runs each block down to the
+    first layer's activation, and that layer's input product once on all
+    rows, since its sums round by the row count.
     Each row's context gradient then folds onto its own slot and, for the
     ISI column, onto the slot before. So the values are bit-identical to
     ``DenseNet.forward`` on the context rows, then the softmax, clip, exp,
@@ -196,7 +188,7 @@ def _frozen_draw(net: DenseNet, w: Tensor, rng: np.random.Generator) -> Tensor:
     u = rng.random(n)
     eps = rng.standard_normal(n)
     layers = list(zip(net.weights, net.biases, net.activations))
-    blocks = _row_blocks(n)
+    blocks = nn.row_blocks(n, 2)
     out = np.empty(n)
     saved = [None] * len(blocks)        # per block: layer outputs, component, draw terms
 

@@ -9,9 +9,11 @@ class probabilities.
 Training runs the symbols through the fitted channel surrogate so that the
 cross-entropy gradient reaches the encoder and quantizer; evaluation runs
 them through the real slot sampler instead. The transmitter draws no
-randomness, so an evaluation runs it once; each noise trial then draws only
-the channel and runs only the receiver, on its own generator. The trials
-run concurrently, one share per usable CPU, through
+randomness, so an evaluation runs it once, in row blocks of at most
+:data:`mclink.nn.ROW_BLOCK` images (:func:`mclink.nn.row_blocks`); each
+noise trial then draws only the channel, whose random stream runs over the
+whole (B, k) array, and runs only the receiver, on its own generator. The
+trials run concurrently, one share per usable CPU, through
 :func:`mclink.nn.run_concurrently`, whose worker pool also runs half of
 the surrogate's draw in training; both give the same bytes on one CPU.
 Both channels take whole (B, k) frames and return the received (B, k)
@@ -265,9 +267,11 @@ def evaluate_accuracy(
 ) -> tuple[float, float, float]:
     """Fraction correct through the real channel, averaged over noise draws,
     with a 95% Wilson interval (see :func:`trial_accuracy`). The test set is
-    encoded once; each trial runs the channel and the decoder on it, and the
-    trials run concurrently."""
-    w = encode_batch(model, test_set.images).data
+    encoded once, in row blocks; each trial runs the channel and the decoder
+    on it whole, and the trials run concurrently."""
+    n = len(test_set.images)
+    w = np.concatenate([encode_batch(model, test_set.images[rows]).data
+                        for rows in nn.row_blocks(n, math.ceil(n / nn.ROW_BLOCK))])
     return trial_accuracy(
         rng, test_set, n_trials,
         lambda trial_rng: transmit_eval(trial_rng, model, p, w).argmax(axis=1))

@@ -183,8 +183,9 @@ class TestSourceCodec:
             source_bit_count((18, 16))
 
     def test_out_of_range_pixels_rejected(self):
-        with pytest.raises(ValueError):
-            source_encode(np.full((1, 256), 1.5))
+        for bad in (1.5, -0.5, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                source_encode(np.full((1, 256), bad))
 
 
 class TestChannelCodes:
@@ -407,6 +408,25 @@ class TestPipeline:
         with pytest.raises(ValueError) as coded:
             baseline_evaluate(np.random.default_rng(40), CodecConfig(), S1, empty, classifier)
         assert str(coded.value) == str(semantic.value) == "test set is empty"
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 128, 129, 130, 257, 1000])
+    def test_row_blocks_keep_the_whole_batch_bytes(self, classifier, n):
+        # the classifier takes 256 pixels, the benchmark's first product; the
+        # reference standardizes and runs the net on the whole batch at once
+        def whole(images):
+            x = (images - classifier.input_mean) / classifier.input_std
+            return classifier.net.forward(nn.Tensor(x)).data
+
+        test = make_dataset(np.random.default_rng(42), n)
+        recon = clean_reconstructions(test.images)
+        got, want = classifier.predict_proba(recon), whole(recon)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        p = with_overrides(S1, max_molecules=NOISY_BUDGET)
+        coded = channel_encode(source_encode(test.images))
+        assert baseline_evaluate(np.random.default_rng(43), CodecConfig(), p, test, classifier,
+                                 n_trials=3) == trial_accuracy(
+            np.random.default_rng(43), test, 3,
+            lambda rng: whole(transmit_images(rng, p, coded)).argmax(axis=1))
 
     @pytest.mark.parametrize("n_trials", [1, 3, 15])
     def test_codes_the_test_set_once(self, toy_sets, classifier, monkeypatch, n_trials):

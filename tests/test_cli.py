@@ -549,6 +549,32 @@ class TestExitCodes:
         assert f"{data / 'test.ds'} holds no images" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [np.nan, 1.5, -np.inf], ids=["nan", "above-one", "-inf"])
+    @pytest.mark.parametrize("command, bad", [("train", "train.ds"), ("eval", "test.ds"),
+                                              ("sweep", "train.ds"), ("sweep", "test.ds")])
+    def test_dataset_with_a_bad_pixel_is_usage_error_naming_it(self, pipeline, tmp_path,
+                                                               capsys, monkeypatch,
+                                                               command, bad, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("train.ds", "test.ds"):
+            (data / name).write_bytes((pipeline / "data" / name).read_bytes())
+        ds = load_dataset(data / bad)
+        images = ds.images.copy()
+        images[1, 7] = value
+        save_dataset(data / bad, Dataset(images=images, labels=ds.labels))
+        for module, name in ((baseline, "train_baseline_classifier"),
+                             (transceiver, "train_end_to_end"),
+                             (transceiver, "evaluate_accuracy")):
+            monkeypatch.setattr(module, name, must_not_run)
+        inputs = {"train": ["--surrogate", pipeline / "surr" / "surrogate.ckpt"],
+                  "eval": ["--model", pipeline / "model" / "semantic.ckpt"],
+                  "sweep": ["--n-m-list", 20000]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--out", out, "--data", data, *inputs]) == EXIT_USAGE
+        assert f"{data / bad}: pixel values must be finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_sweep_on_multichannel_images_is_usage_error(self, pipeline, tmp_path, capsys,
                                                          monkeypatch):
         # the baseline codes one grayscale channel; the semantic model takes any

@@ -136,6 +136,20 @@ class TestContainer:
             load_dataset(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.5, -1e-6])
+    def test_rejects_a_pixel_outside_the_unit_range_naming_the_file(self, tmp_path, value):
+        ds = make_dataset(np.random.default_rng(0), 4)
+        images = ds.images.copy()
+        images[0, :2] = 0.0, 1.0            # the bounds themselves load
+        path = tmp_path / "toy.ds"
+        save_dataset(path, Dataset(images=images, labels=ds.labels))
+        assert np.array_equal(load_dataset(path).images, images.astype(np.float32))
+        images[2, 5] = value
+        save_dataset(path, Dataset(images=images, labels=ds.labels))
+        with pytest.raises(DatasetFormatError, match="finite and lie in") as info:
+            load_dataset(path)
+        assert str(path) in str(info.value)
+
 
 def test_one_hot():
     z = one_hot(np.array([0, 2]), 3)

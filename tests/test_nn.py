@@ -725,6 +725,33 @@ class TestDenseNetConstruction:
         assert all(t.requires_grad for t in net.parameters())
 
 
+class TestRowBlocks:
+    """One block rule for the package: near-equal slices, none of one row."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 8, 50])
+    def test_near_equal_slices_in_order(self, parts):
+        for n in range(0, 400):
+            blocks = nn.row_blocks(n, parts)
+            sizes = [rows.stop - rows.start for rows in blocks]
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert 1 <= len(blocks) <= parts
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+            assert len(blocks) == 1 or min(sizes) >= 2
+            if n < 4 or parts == 1:
+                assert blocks == [slice(0, n)]
+
+    def test_two_parts_cut_at_the_upper_half(self):
+        # the surrogate's draw runs two parts, the first taking the odd row
+        for n in range(4, 200):
+            assert nn.row_blocks(n, 2) == [slice(0, (n + 1) // 2), slice((n + 1) // 2, n)]
+
+    def test_evaluation_blocks_hold_at_most_row_block_rows(self):
+        for n in (129, 130, 257, 1000):
+            blocks = nn.row_blocks(n, math.ceil(n / nn.ROW_BLOCK))
+            assert len(blocks) > 1 and all(b.stop - b.start <= nn.ROW_BLOCK for b in blocks)
+
+
 class TestRunConcurrently:
     """The one worker pool: the caller runs the first task, the pool the rest."""
 

@@ -31,15 +31,15 @@ MODULES = {path.stem for path in SRC}
 # (module, name): why it stays although nothing reaches it yet
 UNREACHED_BY_DESIGN = {
     ("channel", "normalized_slot_moments"):
-        "the per-slot moments a clamp-aware ML decoder will score (ROADMAP direction 2)",
+        "the per-slot moments the ceiling's clamp-aware ML decoder scores (ROADMAP direction 1)",
     ("surrogate", "single_gaussian_nll"):
-        "the held-out baseline a per-budget diagnostics file will report (ROADMAP direction 2)",
+        "the held-out baseline a per-budget diagnostics file will report (ROADMAP direction 3)",
 }
 
 # (module, function, parameter): why it keeps a default no caller passes
 DEFAULTS_KEPT = {
     ("transceiver", "train_end_to_end", "model"):
-        "the warm start the budget curriculum trains each lower budget from (ROADMAP direction 1)",
+        "the warm start the budget curriculum trains each lower budget from (ROADMAP direction 2)",
 }
 
 

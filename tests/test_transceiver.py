@@ -343,16 +343,45 @@ class TestEvaluateAccuracy:
 
     @pytest.mark.parametrize("n_trials", [1, 3, 15])
     def test_encodes_the_test_set_once(self, monkeypatch, n_trials):
+        # 300 images span three row blocks; the blocks' rows add up to the
+        # test set, whatever the trial count
         model, ds = self._crafted_setup()
-        calls = []
+        test = type(ds)(images=np.tile(ds.images, (3, 1)), labels=np.tile(ds.labels, 3),
+                        height=ds.height, width=1, channels=1)
+        rows = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return encode_batch(*args, **kwargs)
+        def counted(model, images):
+            rows.append(len(images))
+            return encode_batch(model, images)
 
         monkeypatch.setattr(transceiver, "encode_batch", counted)
-        evaluate_accuracy(np.random.default_rng(47), model, S1, ds, n_trials=n_trials)
-        assert len(calls) == 1
+        evaluate_accuracy(np.random.default_rng(47), model, S1, test, n_trials=n_trials)
+        assert len(rows) > 1 and sum(rows) == len(test)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 128, 129, 130, 257, 1000])
+    def test_row_blocks_keep_the_whole_batch_bytes(self, monkeypatch, n):
+        # a 256-pixel model, so the encoder's first product has the
+        # benchmark's shape; the reference encodes the whole set at once
+        train = make_dataset(np.random.default_rng(48), 200)
+        mean, std = standardization_stats(train.images)
+        model = build_semantic_model(np.random.default_rng(49), (16, 16, 1), 4, mean, std)
+        test = make_dataset(np.random.default_rng(50), n)
+        p = with_overrides(S1, max_molecules=600)
+        sent = []
+
+        def spy(rng, model, p, w):
+            sent.append(w)
+            return transmit_eval(rng, model, p, w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transceiver, "transmit_eval", spy)
+            got = evaluate_accuracy(np.random.default_rng(51), model, p, test, n_trials=3)
+        whole = encode_batch(model, test.images).data
+        assert all(w.tobytes() == whole.tobytes() and w.shape == whole.shape for w in sent)
+        want = trial_accuracy(
+            np.random.default_rng(51), test, 3,
+            lambda rng: ref_transmit_eval(rng, model, p, test.images).argmax(axis=1))
+        assert got == want
 
 
 class TestConcurrentTrials:
